@@ -5,12 +5,17 @@
 // bitwise identical. Wall-clock timings of the shot-parallel trajectory
 // loop and the row-blocked density-matrix superoperator follow.
 //
+// A 5-qubit circuit routed onto the 16-qubit QX5 shows trajectory
+// compaction: each shot simulates only the physical qubits the compiled
+// circuit touches, not all 2^16 device amplitudes.
+//
 // The artifact prints to stderr so stdout stays machine-readable:
 //   ./bench_noise_parallel --benchmark_format=json > BENCH_noise_parallel.json
 // is how CI tracks the noisy-execution perf trajectory.
 
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "arch/backend.hpp"
 #include "bench_common.hpp"
@@ -19,6 +24,7 @@
 #include "noise/noise_model.hpp"
 #include "noise/trajectory.hpp"
 #include "sim/fusion.hpp"
+#include "transpiler/transpile.hpp"
 
 namespace {
 
@@ -47,6 +53,28 @@ qtc::noise::NoiseModel cx_noise() {
   qtc::noise::NoiseModel model;
   model.add_all_qubit_error(qtc::noise::depolarizing2(0.01), qtc::OpKind::CX);
   return model;
+}
+
+/// A noisy 5-qubit random circuit compiled for QX5, with QX5's calibration
+/// noise model: the small-circuit-on-a-whole-device case.
+struct Qx5Job {
+  QuantumCircuit compiled;
+  qtc::noise::NoiseModel model;
+  int touched = 0;  // physical qubits the compiled circuit acts on
+};
+
+Qx5Job qx5_job() {
+  const qtc::arch::Backend qx5 = qtc::arch::qx5_backend();
+  Qx5Job job;
+  job.compiled =
+      qtc::transpiler::transpile(noisy_workload(5, 40, 3), qx5).circuit;
+  job.model = qtc::noise::from_backend(qx5);
+  std::vector<bool> used(static_cast<std::size_t>(qx5.num_qubits()), false);
+  for (const auto& op : job.compiled.ops())
+    if (op.kind != qtc::OpKind::Barrier)
+      for (int q : op.qubits) used[static_cast<std::size_t>(q)] = true;
+  for (bool u : used) job.touched += u;
+  return job;
 }
 
 double time_trajectories_seconds(const QuantumCircuit& qc,
@@ -109,6 +137,18 @@ void print_noise_parallel_artifact() {
                    ? "bitwise identical"
                    : "MISMATCH (determinism bug!)");
 
+  // Compaction: a 5-qubit circuit on the 16-qubit QX5 only pays for the
+  // qubits its compiled form touches.
+  const Qx5Job job = qx5_job();
+  const int qx5_shots = 64;
+  const double qx5_s =
+      time_trajectories_seconds(job.compiled, job.model, qx5_shots);
+  std::fprintf(stderr,
+               "  5q circuit on 16q QX5: %d of %d qubits simulated, %d shots"
+               " %.3f s (%.2f ms/shot)\n",
+               job.touched, job.compiled.num_qubits(), qx5_shots, qx5_s,
+               1e3 * qx5_s / qx5_shots);
+
   // Density matrix: row/column-blocked superoperator application.
   QuantumCircuit dm_qc = noisy_workload(7, 70, 7);
   qtc::noise::DensityMatrixSimulator dms;
@@ -155,6 +195,20 @@ void BM_TrajectoryRun4TNoFusion(benchmark::State& state) {
 BENCHMARK(BM_TrajectoryRun1T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TrajectoryRun4T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TrajectoryRun4TNoFusion)->Unit(benchmark::kMillisecond);
+
+void BM_TrajectoryQx5Compact(benchmark::State& state) {
+  // A 5-qubit circuit on the 16-qubit QX5 under calibration noise: each
+  // shot sweeps 2^touched amplitudes, not 2^16.
+  const Qx5Job job = qx5_job();
+  for (auto _ : state) {
+    qtc::noise::TrajectorySimulator traj(7);
+    benchmark::DoNotOptimize(traj.run(job.compiled, job.model, 64).shots);
+  }
+  state.counters["device_qubits"] = job.compiled.num_qubits();
+  state.counters["simulated_qubits"] = job.touched;
+  state.counters["shots"] = 64;
+}
+BENCHMARK(BM_TrajectoryQx5Compact)->Unit(benchmark::kMillisecond);
 
 void BM_DensityMatrixEvolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/statevector.hpp"  // format_bits
-
 namespace qtc::dd {
 
 namespace {
@@ -97,10 +95,7 @@ DDRunResult DDSimulator::run(const QuantumCircuit& circuit, int shots) {
   const int ncl = circuit.num_clbits();
   for (int s = 0; s < shots; ++s) {
     const std::uint64_t basis = handle.package->sample(handle.state, rng_);
-    std::uint64_t clbits = 0;
-    for (auto [q, c] : qubit_to_clbit)
-      if ((basis >> q) & 1) clbits |= std::uint64_t{1} << c;
-    result.counts.record(sim::format_bits(clbits, ncl));
+    result.counts.record(sim::measured_key(basis, qubit_to_clbit, ncl));
   }
   return result;
 }

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/parallel.hpp"
 #include "sim/statevector.hpp"
@@ -234,25 +235,24 @@ DensityMatrixSimulator::Result DensityMatrixSimulator::run(
     acc += std::max(0.0, p[i]);
     cdf[i] = acc;
   }
-  std::vector<std::uint64_t> outcomes(shots, 0);
+  std::vector<std::string> outcomes(static_cast<std::size_t>(shots));
   parallel::parallel_for(
       0, static_cast<std::uint64_t>(shots),
       [&](std::uint64_t s0, std::uint64_t s1) {
         for (std::uint64_t s = s0; s < s1; ++s) {
           Rng rng(derive_stream_seed(seed_, s));
           const std::uint64_t basis = sim::sample_cdf(cdf, rng.uniform());
-          std::uint64_t clbits = 0;
+          std::string key(ncl, '0');
           for (auto [q, c] : qubit_to_clbit) {
             const int value = noise.apply_readout(
                 q, static_cast<int>((basis >> q) & 1), rng);
-            if (value) clbits |= std::uint64_t{1} << c;
+            if (value) key[ncl - 1 - c] = '1';
           }
-          outcomes[s] = clbits;
+          outcomes[s] = std::move(key);
         }
       },
       /*serial_cutoff=*/256);
-  for (int s = 0; s < shots; ++s)
-    result.counts.record(sim::format_bits(outcomes[s], ncl));
+  for (const std::string& o : outcomes) result.counts.record(o);
   return result;
 }
 
@@ -265,7 +265,7 @@ DensityMatrix DensityMatrixSimulator::evolve(const QuantumCircuit& circuit,
       throw std::invalid_argument(
           "density matrix: reset/conditioned circuits unsupported");
     rho.apply(op);
-    if (const auto channel = noise.error_for(op))
+    if (const KrausChannel* channel = noise.find_error(op))
       rho.apply_channel(*channel, op.qubits);
   }
   return rho;

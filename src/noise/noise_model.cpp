@@ -25,12 +25,18 @@ void NoiseModel::set_readout_error(int qubit, ReadoutError error) {
   readout_[qubit] = error;
 }
 
-std::optional<KrausChannel> NoiseModel::error_for(const Operation& op) const {
+const KrausChannel* NoiseModel::find_error(const Operation& op) const {
   auto specific = per_qubit_.find({op.kind, op.qubits});
-  if (specific != per_qubit_.end()) return specific->second;
+  if (specific != per_qubit_.end()) return &specific->second;
   auto general = all_qubit_.find(op.kind);
-  if (general != all_qubit_.end()) return general->second;
-  return std::nullopt;
+  if (general != all_qubit_.end()) return &general->second;
+  return nullptr;
+}
+
+std::optional<KrausChannel> NoiseModel::error_for(const Operation& op) const {
+  const KrausChannel* channel = find_error(op);
+  if (channel == nullptr) return std::nullopt;
+  return *channel;
 }
 
 const ReadoutError* NoiseModel::readout_error(int qubit) const {

@@ -32,8 +32,11 @@ class NoiseModel {
   /// Classical readout error on one qubit.
   void set_readout_error(int qubit, ReadoutError error);
 
-  /// Channel that fires after this operation (empty optional = noiseless).
-  /// Specific-qubit errors take precedence over all-qubit errors.
+  /// Channel that fires after this operation, or nullptr when it is
+  /// noiseless. Specific-qubit errors take precedence over all-qubit errors.
+  /// Points into the model: valid until the model changes or dies.
+  const KrausChannel* find_error(const Operation& op) const;
+  /// Copying variant of find_error (empty optional = noiseless).
   std::optional<KrausChannel> error_for(const Operation& op) const;
   const ReadoutError* readout_error(int qubit) const;
   bool has_noise() const {

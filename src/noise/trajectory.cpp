@@ -68,6 +68,33 @@ void flush_segment(QuantumCircuit& segment, const sim::FusionConfig& config,
   segment.ops().clear();
 }
 
+/// Relabel `plan` onto the qubits its steps act on and return them in
+/// increasing order: compact qubit i is circuit qubit active[i]. Barrier
+/// passthroughs lose their (unused) operands instead of widening the state.
+std::vector<int> compact_plan(TrajectoryPlan& plan) {
+  const auto operands = [](TrajectoryPlan::Step& step) -> std::vector<int>& {
+    return step.fused.kind == sim::FusedOp::Kind::Op ? step.fused.op.qubits
+                                                     : step.fused.qubits;
+  };
+  std::vector<bool> touched(static_cast<std::size_t>(plan.num_qubits), false);
+  for (TrajectoryPlan::Step& step : plan.steps) {
+    if (step.fused.kind == sim::FusedOp::Kind::Op &&
+        step.fused.op.kind == OpKind::Barrier)
+      step.fused.op.qubits.clear();
+    for (int q : operands(step)) touched[q] = true;
+  }
+  std::vector<int> active;
+  std::vector<int> compact_of(static_cast<std::size_t>(plan.num_qubits), -1);
+  for (int q = 0; q < plan.num_qubits; ++q)
+    if (touched[q]) {
+      compact_of[q] = static_cast<int>(active.size());
+      active.push_back(q);
+    }
+  for (TrajectoryPlan::Step& step : plan.steps)
+    for (int& q : operands(step)) q = compact_of[q];
+  return active;
+}
+
 }  // namespace
 
 bool trajectory_parallel() {
@@ -95,8 +122,8 @@ TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
       segment.ops().push_back(op);
       continue;
     }
-    const std::optional<KrausChannel> channel =
-        op_is_unitary(op.kind) ? noise.error_for(op) : std::nullopt;
+    const KrausChannel* channel =
+        op_is_unitary(op.kind) ? noise.find_error(op) : nullptr;
     if (op_is_unitary(op.kind) && !op.conditioned() && !channel) {
       segment.ops().push_back(op);  // noiseless: eligible for fusion
       continue;
@@ -113,7 +140,7 @@ TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
     TrajectoryPlan::Step step;
     step.fused.kind = sim::FusedOp::Kind::Op;
     step.fused.op = op;
-    step.channel = channel;
+    if (channel) step.channel = *channel;  // the plan's one copy
     plan.steps.push_back(std::move(step));
   }
   flush_segment(segment, config, plan);
@@ -123,18 +150,29 @@ TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
 sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
                                      const NoiseModel& noise, int shots) {
   if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
-  const TrajectoryPlan plan = compile_trajectory_plan(circuit, noise);
+  TrajectoryPlan plan = compile_trajectory_plan(circuit, noise);
+  // Simulate only the qubits the plan touches; the state sits at their
+  // circuit positions so reductions match the full-width register bit for
+  // bit (DESIGN.md, "Trajectory compaction").
+  const std::vector<int> active = compact_plan(plan);
+  const int width = static_cast<int>(active.size());
+  if (width > sim::kMaxStatevectorQubits)
+    throw std::invalid_argument(
+        "trajectory: circuit touches " + std::to_string(width) +
+        " qubits; the statevector engine holds at most " +
+        std::to_string(sim::kMaxStatevectorQubits));
   const int ncl = plan.num_clbits;
 
   // Trajectories are independent given their seed-derived RNG streams, so
   // they run in parallel; outcomes are recorded in shot order afterwards,
   // making the Counts identical for a fixed seed whatever the thread count.
-  std::vector<std::uint64_t> outcomes(shots, 0);
+  std::vector<std::string> outcomes(static_cast<std::size_t>(shots));
   const auto body = [&](std::uint64_t s0, std::uint64_t s1) {
-    sim::Statevector kraus_scratch(plan.num_qubits);
+    sim::Statevector kraus_scratch(width);
     for (std::uint64_t s = s0; s < s1; ++s) {
       Rng rng(derive_stream_seed(seed_, s));
-      sim::Statevector sv(plan.num_qubits);
+      sim::Statevector sv(width);
+      sv.set_register_layout(active, plan.num_qubits);
       std::vector<int> clbits(ncl, 0);
       for (const TrajectoryPlan::Step& step : plan.steps) {
         const sim::FusedOp& f = step.fused;
@@ -151,7 +189,7 @@ sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
           case OpKind::Measure: {
             const int value = sv.measure(op.qubits[0], rng);
             clbits[op.clbits[0]] =
-                noise.apply_readout(op.qubits[0], value, rng);
+                noise.apply_readout(active[op.qubits[0]], value, rng);
             break;
           }
           case OpKind::Reset:
@@ -166,10 +204,7 @@ sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
           }
         }
       }
-      std::uint64_t value = 0;
-      for (int c = 0; c < ncl; ++c)
-        if (clbits[c]) value |= std::uint64_t{1} << c;
-      outcomes[s] = value;
+      outcomes[s] = sim::bits_key(clbits);
     }
   };
   if (trajectory_parallel())
@@ -179,8 +214,7 @@ sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
     body(0, static_cast<std::uint64_t>(shots));
 
   sim::Counts counts;
-  for (int s = 0; s < shots; ++s)
-    counts.record(sim::format_bits(outcomes[s], ncl));
+  for (const std::string& o : outcomes) counts.record(o);
   return counts;
 }
 

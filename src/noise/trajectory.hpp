@@ -11,6 +11,10 @@
 // kernels, while noisy gates, measurements, resets and conditioned
 // operations stay as plan boundaries (a Kraus channel fires after the
 // specific gate it is attached to, so fusion never crosses a noisy gate).
+// Each shot simulates only the qubits some plan step touches, relabelled
+// in increasing order, on a state that keeps its place in the circuit's
+// register so reductions, and hence counts, match the full-width engine
+// bit for bit (DESIGN.md, "Trajectory compaction").
 // Every trajectory replays that plan with its own RNG stream derived from
 // (seed, trajectory index), and trajectories run in parallel on the
 // core/parallel.hpp fork-join pool. Fixed-seed counts are bitwise identical
@@ -74,7 +78,9 @@ class TrajectorySimulator {
 
   /// Sample `shots` independent noisy trajectories. Deterministic for a
   /// fixed seed: repeated calls on the same simulator return identical
-  /// counts, independent of thread count and shot ordering.
+  /// counts, independent of thread count and shot ordering. Throws
+  /// std::invalid_argument when the circuit touches more than
+  /// sim::kMaxStatevectorQubits qubits (the register may be wider).
   sim::Counts run(const QuantumCircuit& circuit, const NoiseModel& noise,
                   int shots = 1024);
 

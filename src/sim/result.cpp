@@ -17,4 +17,21 @@ std::string Counts::to_string(int bar_width) const {
   return os.str();
 }
 
+std::string bits_key(const std::vector<int>& clbits) {
+  const int ncl = static_cast<int>(clbits.size());
+  std::string s(ncl, '0');
+  for (int c = 0; c < ncl; ++c)
+    if (clbits[c]) s[ncl - 1 - c] = '1';
+  return s;
+}
+
+std::string measured_key(
+    std::uint64_t basis,
+    const std::vector<std::pair<int, int>>& qubit_to_clbit, int num_clbits) {
+  std::string s(num_clbits, '0');
+  for (auto [q, c] : qubit_to_clbit)
+    if ((basis >> q) & 1) s[num_clbits - 1 - c] = '1';
+  return s;
+}
+
 }  // namespace qtc::sim

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace qtc::sim {
 
@@ -43,5 +45,16 @@ struct Counts {
   /// Render as an ASCII histogram (plot_histogram stand-in).
   std::string to_string(int bar_width = 40) const;
 };
+
+/// Counts key of a clbit array (highest clbit leftmost). Built character by
+/// character, so registers wider than 64 clbits never alias through an
+/// integer intermediate.
+std::string bits_key(const std::vector<int>& clbits);
+
+/// Counts key of a sampled basis state read out through (qubit, clbit)
+/// measurement pairs; a clbit reads 1 if any qubit measured into it does.
+std::string measured_key(
+    std::uint64_t basis,
+    const std::vector<std::pair<int, int>>& qubit_to_clbit, int num_clbits);
 
 }  // namespace qtc::sim

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/parallel.hpp"
 #include "sim/fusion.hpp"
@@ -64,10 +65,7 @@ RunResult StatevectorSimulator::run(const QuantumCircuit& circuit, int shots) {
     const std::vector<double> cdf = sv.cumulative_probabilities();
     for (int s = 0; s < shots; ++s) {
       const std::uint64_t basis = sample_cdf(cdf, rng_.uniform());
-      std::uint64_t clbits = 0;
-      for (auto [q, c] : qubit_to_clbit)
-        if ((basis >> q) & 1) clbits |= std::uint64_t{1} << c;
-      result.counts.record(format_bits(clbits, ncl));
+      result.counts.record(measured_key(basis, qubit_to_clbit, ncl));
     }
     return result;
   }
@@ -76,7 +74,7 @@ RunResult StatevectorSimulator::run(const QuantumCircuit& circuit, int shots) {
   // independent given their seed-derived RNG streams, so they run in
   // parallel; outcomes are recorded in shot order afterwards, making the
   // Counts identical for a fixed seed whatever the thread count.
-  std::vector<std::uint64_t> outcomes(shots, 0);
+  std::vector<std::string> outcomes(static_cast<std::size_t>(shots));
   std::vector<cplx> last_state;
   parallel::parallel_for(
       0, static_cast<std::uint64_t>(shots),
@@ -108,18 +106,14 @@ RunResult StatevectorSimulator::run(const QuantumCircuit& circuit, int shots) {
                 sv.apply(op);
             }
           }
-          std::uint64_t value = 0;
-          for (int c = 0; c < ncl; ++c)
-            if (clbits[c]) value |= std::uint64_t{1} << c;
-          outcomes[s] = value;
+          outcomes[s] = bits_key(clbits);
           if (s + 1 == static_cast<std::uint64_t>(shots))
             last_state.assign(sv.amplitudes().begin(),
                               sv.amplitudes().end());
         }
       },
       /*serial_cutoff=*/2);
-  for (int s = 0; s < shots; ++s)
-    result.counts.record(format_bits(outcomes[s], ncl));
+  for (const std::string& o : outcomes) result.counts.record(o);
   result.statevector = std::move(last_state);
   return result;
 }

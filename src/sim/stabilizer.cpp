@@ -448,17 +448,6 @@ bool env_stab_packed() {
   return !(v == "0" || v == "off" || v == "false" || v == "no");
 }
 
-/// Render clbits as a counts key (highest clbit leftmost, the format_bits
-/// convention) directly from the bit array, so registers wider than 64
-/// clbits never alias through a uint64 intermediate.
-std::string bits_key(const std::vector<int>& clbits) {
-  const int ncl = static_cast<int>(clbits.size());
-  std::string s(ncl, '0');
-  for (int c = 0; c < ncl; ++c)
-    if (clbits[c]) s[ncl - 1 - c] = '1';
-  return s;
-}
-
 /// One full tableau replay of the circuit — the per-shot body shared by the
 /// byte oracle and the packed conditional fallback.
 template <class State>

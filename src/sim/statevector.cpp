@@ -29,10 +29,40 @@ inline std::uint64_t insert_zero_bit(std::uint64_t g, std::uint64_t mask) {
   return ((g & ~low) << 1) | (g & low);
 }
 
+constexpr int kReduceBlockBits = std::countr_zero(parallel::kReduceBlock);
+
+/// Deterministic sum of f over [0, items) in blocks of 2^block_bits items:
+/// every block's partial sum starts from 0 and the partials are added in
+/// block order, whatever the thread count. With 14-bit blocks (or one block
+/// covering the whole range) this is parallel::parallel_reduce's summation
+/// tree exactly. Blocks too small to be worth a fork fold serially.
+template <typename F>
+double blocked_sum(std::uint64_t items, int block_bits, const F& f) {
+  const std::uint64_t block = std::uint64_t{1} << block_bits;
+  if (items <= block) return f(0, items);
+  const std::uint64_t nblocks = items >> block_bits;
+  double total = 0;
+  if (block < parallel::kSerialCutoff) {
+    for (std::uint64_t b = 0; b < nblocks; ++b)
+      total += f(b << block_bits, (b + 1) << block_bits);
+    return total;
+  }
+  std::vector<double> partials(nblocks);
+  parallel::parallel_for(
+      0, nblocks,
+      [&](std::uint64_t b0, std::uint64_t b1) {
+        for (std::uint64_t b = b0; b < b1; ++b)
+          partials[b] = f(b << block_bits, (b + 1) << block_bits);
+      },
+      /*serial_cutoff=*/2);
+  for (double p : partials) total += p;
+  return total;
+}
+
 }  // namespace
 
 Statevector::Statevector(int num_qubits) : n_(num_qubits) {
-  if (num_qubits < 0 || num_qubits > 30)
+  if (num_qubits < 0 || num_qubits > kMaxStatevectorQubits)
     throw std::invalid_argument("statevector: unsupported qubit count");
   amp_.assign(std::size_t{1} << n_, cplx{0, 0});
   amp_[0] = 1;
@@ -42,7 +72,7 @@ Statevector::Statevector(AmpVector amplitudes) : amp_(std::move(amplitudes)) {
   if (!is_power_of_two(amp_.size()))
     throw std::invalid_argument("statevector: size must be a power of two");
   n_ = log2_exact(amp_.size());
-  if (n_ > 30)
+  if (n_ > kMaxStatevectorQubits)
     throw std::invalid_argument("statevector: unsupported qubit count");
 }
 
@@ -338,15 +368,52 @@ void Statevector::apply_circuit(const QuantumCircuit& circuit) {
   for (const auto& op : circuit.ops()) apply(op);
 }
 
+void Statevector::set_register_layout(std::vector<int> positions,
+                                      int register_width) {
+  if (static_cast<int>(positions.size()) != n_)
+    throw std::invalid_argument("set_register_layout: bad layout size");
+  for (int i = 0; i < n_; ++i)
+    if (positions[i] < (i > 0 ? positions[i - 1] + 1 : 0) ||
+        positions[i] >= register_width)
+      throw std::invalid_argument(
+          "set_register_layout: positions must increase within the register");
+  positions_ = std::move(positions);
+  register_width_ = register_width;
+}
+
+int Statevector::reduction_block_bits(int skip) const {
+  // The register sums over its index space (minus the skipped qubit's bit)
+  // in kReduceBlock-item blocks, or in one block when the space fits. Our
+  // qubits sit at increasing register positions, so those below the block
+  // boundary are a prefix of our index bits and every register block is a
+  // contiguous run of our indices.
+  const int width = positions_.empty() ? n_ : register_width_;
+  const int dropped = skip >= 0 ? 1 : 0;
+  if (width - dropped <= kReduceBlockBits) return n_ - dropped;
+  const auto position = [&](int i) {
+    return positions_.empty() ? i : positions_[i];
+  };
+  const int skip_pos = skip >= 0 ? position(skip) : width;
+  int bits = 0;
+  for (int i = 0; i < n_; ++i) {
+    if (i == skip) continue;
+    const int p = position(i);
+    if ((p < skip_pos ? p : p - 1) < kReduceBlockBits) ++bits;
+  }
+  return bits;
+}
+
 double Statevector::probability_of_one(int q) const {
+  if (q < 0 || q >= n_)
+    throw std::out_of_range("probability_of_one: qubit out of range");
   const std::uint64_t mask = std::uint64_t{1} << q;
-  return parallel::parallel_reduce(
-      0, amp_.size() >> 1, [&](std::uint64_t g0, std::uint64_t g1) {
-        double s = 0;
-        for (std::uint64_t g = g0; g < g1; ++g)
-          s += std::norm(amp_[insert_zero_bit(g, mask) | mask]);
-        return s;
-      });
+  return blocked_sum(amp_.size() >> 1, reduction_block_bits(q),
+                     [&](std::uint64_t g0, std::uint64_t g1) {
+                       double s = 0;
+                       for (std::uint64_t g = g0; g < g1; ++g)
+                         s += std::norm(amp_[insert_zero_bit(g, mask) | mask]);
+                       return s;
+                     });
 }
 
 std::vector<double> Statevector::probabilities() const {
@@ -510,8 +577,9 @@ double Statevector::fidelity(const Statevector& other) const {
 
 double Statevector::norm() const {
   // Same semantics as vec_norm(amp_) but with the parallel blocked sum.
-  const double sum_sq = parallel::parallel_reduce(
-      0, amp_.size(), [&](std::uint64_t lo, std::uint64_t hi) {
+  const double sum_sq = blocked_sum(
+      amp_.size(), reduction_block_bits(-1),
+      [&](std::uint64_t lo, std::uint64_t hi) {
         double s = 0;
         for (std::uint64_t i = lo; i < hi; ++i) s += std::norm(amp_[i]);
         return s;

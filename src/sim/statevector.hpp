@@ -25,6 +25,9 @@ namespace qtc::sim {
 /// line boundary at index 0.
 using AmpVector = aligned_vector<cplx>;
 
+/// Widest state the array engine allocates: 2^30 amplitudes, 16 GiB.
+inline constexpr int kMaxStatevectorQubits = 30;
+
 /// Basis-state convention: qubit q is bit q of the index (little-endian, as
 /// in Qiskit). Bitstrings print with the highest qubit leftmost.
 class Statevector {
@@ -80,6 +83,16 @@ class Statevector {
   void apply_controlled_matrix(const Matrix& u, const std::vector<int>& qubits,
                                int num_controls);
 
+  /// Place this state inside a wider `register_width`-qubit register: qubit
+  /// i sits at register position positions[i] (strictly increasing) and the
+  /// register qubits not listed stay |0>. Only the blocked reductions read
+  /// the placement: norm() and probability_of_one() (hence measure, reset
+  /// and normalize) form their partial sums over the register's fixed
+  /// kReduceBlock partitions and add them in block order, so they return
+  /// bitwise what the same call on the full-width register would. A fresh
+  /// state sits at positions 0..n-1 of its own n-qubit register.
+  void set_register_layout(std::vector<int> positions, int register_width);
+
   /// Probability that qubit q reads 1.
   double probability_of_one(int q) const;
   /// Per-basis-state probabilities (length 2^n).
@@ -112,6 +125,9 @@ class Statevector {
   /// reused across calls); they are filled on the calling thread before any
   /// parallel region reads them.
   void prepare_gather(const int* qubits, int k, std::size_t dim);
+  /// Low index bits (qubit `skip` removed first, -1 for none) that stay
+  /// inside one reduction block of the register (see set_register_layout).
+  int reduction_block_bits(int skip) const;
 
   int n_ = 0;
   AmpVector amp_;
@@ -119,6 +135,9 @@ class Statevector {
   std::vector<int> sorted_qubits_;
   std::vector<int> expand_qubits_;  // controls ∪ targets, sorted
   std::vector<std::uint64_t> gather_offsets_;
+  // Register placement (set_register_layout); empty = positions 0..n-1.
+  std::vector<int> positions_;
+  int register_width_ = 0;
 };
 
 /// Render a basis index as a bitstring, qubit width-1 first (Qiskit order).

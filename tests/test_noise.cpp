@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "arch/backend.hpp"
 #include "sim/simulator.hpp"
@@ -15,29 +16,38 @@ namespace {
 
 // --- channels ---------------------------------------------------------------
 
-class CptpChannelTest
-    : public ::testing::TestWithParam<std::pair<const char*, KrausChannel>> {};
+struct NamedChannel {
+  const char* name;
+  KrausChannel channel;
+};
+
+// Print the parameter by name only. GoogleTest's default printer dumps the
+// pointer and the object bytes, so the listed test names would change with
+// every process run under address-space randomisation.
+void PrintTo(const NamedChannel& c, std::ostream* os) { *os << c.name; }
+
+class CptpChannelTest : public ::testing::TestWithParam<NamedChannel> {};
 
 TEST_P(CptpChannelTest, IsTracePreserving) {
-  EXPECT_TRUE(is_cptp(GetParam().second)) << GetParam().first;
+  EXPECT_TRUE(is_cptp(GetParam().channel)) << GetParam().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllChannels, CptpChannelTest,
     ::testing::Values(
-        std::make_pair("identity", identity_channel()),
-        std::make_pair("depolarizing", depolarizing(0.1)),
-        std::make_pair("depolarizing_full", depolarizing(1.0)),
-        std::make_pair("depolarizing2", depolarizing2(0.08)),
-        std::make_pair("bit_flip", bit_flip(0.2)),
-        std::make_pair("phase_flip", phase_flip(0.3)),
-        std::make_pair("bit_phase_flip", bit_phase_flip(0.15)),
-        std::make_pair("amplitude_damping", amplitude_damping(0.25)),
-        std::make_pair("phase_damping", phase_damping(0.4)),
-        std::make_pair("thermal", thermal_relaxation(50, 40, 1.0)),
-        std::make_pair("composed",
-                       compose(amplitude_damping(0.1), phase_flip(0.05)))),
-    [](const auto& info) { return info.param.first; });
+        NamedChannel{"identity", identity_channel()},
+        NamedChannel{"depolarizing", depolarizing(0.1)},
+        NamedChannel{"depolarizing_full", depolarizing(1.0)},
+        NamedChannel{"depolarizing2", depolarizing2(0.08)},
+        NamedChannel{"bit_flip", bit_flip(0.2)},
+        NamedChannel{"phase_flip", phase_flip(0.3)},
+        NamedChannel{"bit_phase_flip", bit_phase_flip(0.15)},
+        NamedChannel{"amplitude_damping", amplitude_damping(0.25)},
+        NamedChannel{"phase_damping", phase_damping(0.4)},
+        NamedChannel{"thermal", thermal_relaxation(50, 40, 1.0)},
+        NamedChannel{"composed",
+                     compose(amplitude_damping(0.1), phase_flip(0.05))}),
+    [](const auto& info) { return info.param.name; });
 
 TEST(Channel, BadProbabilityThrows) {
   EXPECT_THROW(depolarizing(-0.1), std::invalid_argument);
