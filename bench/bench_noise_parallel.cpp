@@ -103,7 +103,8 @@ void print_noise_parallel_artifact() {
   for (const auto& w : workloads) {
     const QuantumCircuit qc = noisy_workload(w.qubits, w.gates, w.seed);
     qtc::sim::set_fusion_enabled(1);
-    const auto plan = qtc::noise::compile_trajectory_plan(qc, cx_noise());
+    const qtc::noise::NoiseModel noise = cx_noise();
+    const auto plan = qtc::noise::compile_trajectory_plan(qc, noise);
     qtc::sim::set_fusion_enabled(-1);
     char label[64];
     std::snprintf(label, sizeof label, "%dq %dg (seed %llu)", w.qubits,

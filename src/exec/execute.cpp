@@ -1,5 +1,6 @@
 #include "exec/execute.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -45,9 +46,12 @@ ExecuteResult execute(const QuantumCircuit& circuit,
         map::Layout::trivial(circuit.num_qubits(), backend.num_qubits());
     result.final_layout = result.initial_layout;
   }
-  const noise::NoiseModel model = options.noise_model
-                                      ? *options.noise_model
-                                      : noise::from_backend(backend);
+  // The caller's model is used in place; otherwise the backend's memoized
+  // model is copied out, which shares its channels (no matrix copies).
+  std::optional<noise::NoiseModel> derived;
+  if (!options.noise_model) derived = noise::from_backend(backend);
+  const noise::NoiseModel& model =
+      options.noise_model ? *options.noise_model : *derived;
   // Engine selection: explicit request wins; otherwise the dispatcher picks
   // from the compiled circuit's structure. Noise pins the choice to the
   // trajectory engine — the tableau and DD engines cannot apply Kraus

@@ -64,7 +64,7 @@ void flush_segment(QuantumCircuit& segment, const sim::FusionConfig& config,
   if (!fused.ops.empty()) ++plan.fused_segments;
   plan.state_sweeps += fused.state_sweeps;
   for (auto& f : fused.ops)
-    plan.steps.push_back(TrajectoryPlan::Step{std::move(f), std::nullopt});
+    plan.steps.push_back(TrajectoryPlan::Step{std::move(f), nullptr});
   segment.ops().clear();
 }
 
@@ -140,7 +140,7 @@ TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
     TrajectoryPlan::Step step;
     step.fused.kind = sim::FusedOp::Kind::Op;
     step.fused.op = op;
-    if (channel) step.channel = *channel;  // the plan's one copy
+    step.channel = channel;
     plan.steps.push_back(std::move(step));
   }
   flush_segment(segment, config, plan);

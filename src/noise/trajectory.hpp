@@ -28,7 +28,6 @@
 // QTC_NUM_THREADS. All fallbacks are bitwise passthroughs.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/circuit.hpp"
@@ -53,8 +52,10 @@ void set_trajectory_parallel(int enabled);
 struct TrajectoryPlan {
   struct Step {
     sim::FusedOp fused;  // Kind != Op: fused kernel; Kind::Op: IR passthrough
-    /// Channel sampled after the passthrough op executes (noisy gates only).
-    std::optional<KrausChannel> channel;
+    /// Channel sampled after the passthrough op executes (noisy gates only;
+    /// nullptr otherwise). Points into the model the plan was compiled
+    /// against, with find_error's contract: valid while that model lives.
+    const KrausChannel* channel = nullptr;
   };
   std::vector<Step> steps;
   int num_qubits = 0;
@@ -68,9 +69,14 @@ struct TrajectoryPlan {
 
 /// Compile `circuit` against `noise` using the active fusion configuration.
 /// With fusion disabled every operation passes through unchanged,
-/// reproducing gate-by-gate dispatch bit for bit.
+/// reproducing gate-by-gate dispatch bit for bit. The plan borrows the
+/// model's channels: `noise` must outlive it.
 TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
                                        const NoiseModel& noise);
+/// A temporary model would die at the end of the call, leaving the plan's
+/// channel pointers dangling.
+TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
+                                       NoiseModel&& noise) = delete;
 
 class TrajectorySimulator {
  public:

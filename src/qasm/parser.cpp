@@ -7,6 +7,8 @@
 #include <memory>
 #include <sstream>
 
+#include "qbin/qbin.hpp"  // kMaxQubits / kMaxClbits (header-only)
+
 namespace qtc::qasm {
 
 namespace {
@@ -269,10 +271,27 @@ class Parser {
       next();
       const std::string name = expect_name();
       expect_sym("[");
+      const Token& size_tok = peek();
       const long long size = expect_int();
       expect_sym("]");
       expect_sym(";");
-      if (kw == "qreg")
+      // Same caps as the QBIN decoder, on the running total so the sum of
+      // many registers cannot overflow the circuit's int bit counts either.
+      const bool quantum = kw == "qreg";
+      const long long declared =
+          quantum ? circ_.num_qubits() : circ_.num_clbits();
+      const long long cap = static_cast<long long>(
+          quantum ? qbin::kMaxQubits : qbin::kMaxClbits);
+      if (size < 1)
+        throw ParseError(kw + " '" + name + "': size must be positive",
+                         size_tok.line, size_tok.col);
+      if (size > cap - declared)
+        throw ParseError(kw + " '" + name + "': size " + size_tok.text +
+                             " takes the circuit past the " +
+                             std::to_string(cap) +
+                             (quantum ? "-qubit" : "-clbit") + " limit",
+                         size_tok.line, size_tok.col);
+      if (quantum)
         circ_.add_qreg(name, static_cast<int>(size));
       else
         circ_.add_creg(name, static_cast<int>(size));

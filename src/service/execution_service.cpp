@@ -69,18 +69,24 @@ int default_results_cap() {
 
 bool default_batching() { return env_flag("QTC_SERVICE_BATCH", true); }
 
-/// One submitted job. The execution inputs (circuit, backend, noise copy)
-/// are only touched by the worker that claimed the job — everything else is
-/// guarded by the service mutex — and are released at the terminal
-/// transition so retained metadata records stay small.
+/// What a job needs to run: owned copies of the caller's arguments. The
+/// noise model copy shares the caller's channels (reference counts only).
+struct ExecutionInputs {
+  QuantumCircuit circuit;
+  arch::Backend backend;
+  exec::ExecuteOptions options;
+  std::optional<noise::NoiseModel> noise;  // options.noise_model target
+};
+
+/// One submitted job. The execution inputs are only touched by the worker
+/// that claimed the job — everything else is guarded by the service mutex —
+/// and are freed at the terminal transition, so a retained record is
+/// metadata and payload only.
 struct ExecutionService::Job {
   std::uint64_t id = 0;
   std::string tenant;
-  QuantumCircuit circuit;
-  std::optional<arch::Backend> backend;
-  exec::ExecuteOptions options;
-  std::optional<noise::NoiseModel> noise_copy;  // options.noise_model target
-  std::uint64_t structural_key = 0;             // 0: never batched
+  std::unique_ptr<ExecutionInputs> inputs;  // null once terminal
+  std::uint64_t structural_key = 0;         // 0: never batched
 
   JobState state = JobState::Queued;
   bool cancel_requested = false;
@@ -230,13 +236,13 @@ JobHandle ExecutionService::submit_with_key(QuantumCircuit&& circuit,
     return JobHandle(this, id, false);
   }
 
-  job->circuit = std::move(circuit);
-  job->backend = backend;
-  job->options = options;
+  job->inputs = std::make_unique<ExecutionInputs>(std::move(circuit),
+                                                  backend, options);
   if (options.noise_model) {
     // Copy the caller's noise model so the job owns every execution input.
-    job->noise_copy = *options.noise_model;
-    job->options.noise_model = &*job->noise_copy;
+    ExecutionInputs& in = *job->inputs;
+    in.noise = *options.noise_model;
+    in.options.noise_model = &*in.noise;
   }
   job->structural_key = key;
   queues_[tenant].push_back(job);
@@ -325,7 +331,8 @@ void ExecutionService::run_job(const JobPtr& job, bool batch_follower) {
   bool ok = false;
   std::string error;
   try {
-    result = exec::execute(job->circuit, *job->backend, job->options);
+    const ExecutionInputs& in = *job->inputs;
+    result = exec::execute(in.circuit, in.backend, in.options);
     ok = true;
   } catch (const std::exception& e) {
     error = e.what();
@@ -382,9 +389,7 @@ void ExecutionService::finish_locked(const JobPtr& job, JobState state) {
       break;  // unreachable: finish only moves to terminal states
   }
   // Release the execution inputs — the retained record is metadata + payload.
-  job->circuit = QuantumCircuit{};
-  job->backend.reset();
-  job->noise_copy.reset();
+  job->inputs.reset();
   if (job->claimed) --in_flight_;
   done_cv_.notify_all();
 }

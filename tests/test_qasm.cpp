@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/circuit.hpp"
 
 namespace qtc {
@@ -198,6 +200,54 @@ TEST(Qasm, ErrorsCarrySourcePosition) {
     EXPECT_EQ(e.line(), 3);
     EXPECT_NE(std::string(e.what()).find("badgate"), std::string::npos);
   }
+}
+
+/// Parse `decl` as line 2 of a program and return the ParseError it raises.
+qasm::ParseError register_error(const std::string& decl) {
+  try {
+    qasm::parse("OPENQASM 2.0;\n" + decl + "\n");
+  } catch (const qasm::ParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected ParseError for: " << decl;
+  return qasm::ParseError("none", 0, 0);
+}
+
+TEST(Qasm, RegisterSizeOverflowIsRejected) {
+  // Each size used to be narrowed to int unchecked: 2^32 + 2 declared two
+  // qubits and INT_MAX + 1 a negative count. The error points at the size.
+  for (const char* decl :
+       {"qreg q[4294967298];", "qreg q[2147483648];", "creg c[4294967298];",
+        "creg c[2147483648];", "qreg q[99999999999999999999999];"}) {
+    SCOPED_TRACE(decl);
+    const qasm::ParseError e = register_error(decl);
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.col(), 8);
+    EXPECT_NE(std::string(e.what()).find("limit"), std::string::npos);
+  }
+}
+
+TEST(Qasm, RegisterSizeZeroOrNegativeIsRejected) {
+  const qasm::ParseError zero = register_error("qreg q[0];");
+  EXPECT_EQ(zero.line(), 2);
+  EXPECT_EQ(zero.col(), 8);
+  EXPECT_NE(std::string(zero.what()).find("positive"), std::string::npos);
+  EXPECT_EQ(register_error("creg c[0];").col(), 8);
+  // The lexer has no negative literals: '-' is a symbol, not an integer.
+  const qasm::ParseError negative = register_error("qreg q[-1];");
+  EXPECT_EQ(negative.line(), 2);
+  EXPECT_EQ(negative.col(), 8);
+}
+
+TEST(Qasm, RegisterCapAppliesToTheTotal) {
+  // 2^24 qubits (qbin::kMaxQubits) in one register is allowed; one more
+  // qubit in a second register is not, so the running int count never
+  // overflows however many registers a program declares.
+  const QuantumCircuit qc = qasm::parse("OPENQASM 2.0;\nqreg q[16777216];\n");
+  EXPECT_EQ(qc.num_qubits(), 1 << 24);
+  const qasm::ParseError e = register_error("qreg a[16777215];\nqreg b[2];");
+  EXPECT_EQ(e.line(), 3);
+  EXPECT_EQ(e.col(), 8);
 }
 
 TEST(Qasm, UnknownRegisterThrows) {
