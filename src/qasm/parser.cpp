@@ -159,58 +159,77 @@ class Parser {
   }
 
   // --- expressions ----------------------------------------------------------
+  // Every level of nesting (a parenthesis or function argument, a unary
+  // sign, a binary operator) enters once, so the cap bounds both this
+  // parser's recursion and the height of the tree that Expr::eval and the
+  // destructor walk recursively. A parse that throws is abandoned, so only
+  // the successful paths leave.
+  void enter(const Token& at) {
+    if (++depth_ > kMaxExprDepth)
+      throw ParseError("expression nested deeper than " +
+                           std::to_string(kMaxExprDepth) + " levels",
+                       at.line, at.col);
+  }
+  void leave(int levels = 1) { depth_ -= levels; }
+
+  ExprPtr binary(char op, ExprPtr lhs, ExprPtr rhs) {
+    auto node = std::make_unique<Expr>();
+    node->kind = Expr::Kind::Binary;
+    node->op = op;
+    node->lhs = std::move(lhs);
+    node->rhs = std::move(rhs);
+    return node;
+  }
+
   ExprPtr parse_expr() { return parse_additive(); }
 
   ExprPtr parse_additive() {
     ExprPtr lhs = parse_multiplicative();
+    int levels = 0;
     while (peek_sym("+") || peek_sym("-")) {
-      const char op = next().text[0];
-      auto node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::Binary;
-      node->op = op;
-      node->lhs = std::move(lhs);
-      node->rhs = parse_multiplicative();
-      lhs = std::move(node);
+      const Token& op = next();
+      enter(op);
+      ++levels;
+      lhs = binary(op.text[0], std::move(lhs), parse_multiplicative());
     }
+    leave(levels);
     return lhs;
   }
 
   ExprPtr parse_multiplicative() {
     ExprPtr lhs = parse_power();
+    int levels = 0;
     while (peek_sym("*") || peek_sym("/")) {
-      const char op = next().text[0];
-      auto node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::Binary;
-      node->op = op;
-      node->lhs = std::move(lhs);
-      node->rhs = parse_power();
-      lhs = std::move(node);
+      const Token& op = next();
+      enter(op);
+      ++levels;
+      lhs = binary(op.text[0], std::move(lhs), parse_power());
     }
+    leave(levels);
     return lhs;
   }
 
   ExprPtr parse_power() {
     ExprPtr lhs = parse_unary();
-    if (peek_sym("^")) {
-      next();
-      auto node = std::make_unique<Expr>();
-      node->kind = Expr::Kind::Binary;
-      node->op = '^';
-      node->lhs = std::move(lhs);
-      node->rhs = parse_power();  // right associative
-      return node;
-    }
-    return lhs;
+    if (!peek_sym("^")) return lhs;
+    enter(next());
+    ExprPtr node = binary('^', std::move(lhs), parse_power());  // right assoc
+    leave();
+    return node;
   }
 
   ExprPtr parse_unary() {
-    if (accept_sym("-")) {
+    if (peek_sym("-") || peek_sym("+")) {
+      const Token& sign = next();
+      enter(sign);
+      ExprPtr operand = parse_unary();
+      leave();
+      if (sign.text == "+") return operand;
       auto node = std::make_unique<Expr>();
       node->kind = Expr::Kind::Unary;
-      node->lhs = parse_unary();
+      node->lhs = std::move(operand);
       return node;
     }
-    if (accept_sym("+")) return parse_unary();
     return parse_primary();
   }
 
@@ -229,11 +248,12 @@ class Parser {
         return node;
       }
       if (peek_sym("(")) {  // function call
-        next();
+        enter(next());
         node->kind = Expr::Kind::Fun;
         node->name = t.text;
         node->lhs = parse_expr();
         expect_sym(")");
+        leave();
         return node;
       }
       node->kind = Expr::Kind::Param;
@@ -241,8 +261,10 @@ class Parser {
       return node;
     }
     if (t.kind == Token::Kind::Sym && t.text == "(") {
+      enter(t);
       ExprPtr inner = parse_expr();
       expect_sym(")");
+      leave();
       return inner;
     }
     throw ParseError("expected expression, got '" + t.text + "'", t.line,
@@ -548,6 +570,7 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // expression nesting, see enter()
   QuantumCircuit circ_;
   std::map<std::string, GateDef> gate_defs_;
 };

@@ -15,6 +15,11 @@
 
 namespace qtc::qasm {
 
+/// Deepest parameter expression parse() accepts. Each parenthesis or
+/// function-call level, unary sign and binary operator nests one level; a
+/// deeper expression raises ParseError at the token that crosses the cap.
+inline constexpr int kMaxExprDepth = 256;
+
 /// Parse OpenQASM 2.0 source into a circuit. Throws ParseError.
 QuantumCircuit parse(const std::string& source);
 

@@ -54,12 +54,27 @@ bool cancellable(const Operation& op) {
          op.kind != OpKind::Barrier && !op.conditioned();
 }
 
-/// One simplification round. Returns true if anything changed.
+/// One simplification round in O(total arity). Returns true if anything
+/// changed.
 bool cancel_round(std::vector<Operation>& ops) {
   const std::size_t n = ops.size();
   std::vector<bool> dead(n, false);
   // last[q] = index of the latest surviving op touching qubit q so far.
   std::vector<int> last;
+  // Predecessor links: a surviving op i owns links[link_at[i] + k], the
+  // value last[qubits[k]] had just before i was pushed. A pair (j, i)
+  // cancels only while j is last[q] on all its qubits, so every op pushed
+  // after j on them is gone by then, j's links are still exact, and
+  // restoring them pops j back off.
+  std::vector<int> links;
+  std::vector<std::size_t> link_at(n);
+  const auto push = [&](std::size_t i) {
+    link_at[i] = links.size();
+    for (Qubit q : ops[i].qubits) {
+      links.push_back(last[q]);
+      last[q] = static_cast<int>(i);
+    }
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const Operation& op = ops[i];
     for (Qubit q : op.qubits)
@@ -67,7 +82,7 @@ bool cancel_round(std::vector<Operation>& ops) {
         last.resize(q + 1, -1);
     if (op.kind == OpKind::Barrier || !op_is_unitary(op.kind) ||
         op.conditioned()) {
-      for (Qubit q : op.qubits) last[q] = static_cast<int>(i);
+      push(i);
       continue;
     }
     // The candidate predecessor: the single latest toucher of ALL operands.
@@ -78,8 +93,8 @@ bool cancel_round(std::vector<Operation>& ops) {
       if (last[q] != j) uniform = false;
     }
     bool removed = false;
-    if (uniform && j >= 0 && !dead[j] && cancellable(ops[j]) &&
-        cancellable(op) && same_operands(ops[j], op)) {
+    if (uniform && j >= 0 && cancellable(ops[j]) && cancellable(op) &&
+        same_operands(ops[j], op)) {
       Operation& prev = ops[j];
       if (prev.kind == op.kind && is_mergeable_rotation(op.kind) &&
           prev.qubits == op.qubits) {
@@ -106,15 +121,15 @@ bool cancel_round(std::vector<Operation>& ops) {
       }
     }
     if (removed) {
-      // Rebuild `last` conservatively by rescanning (sizes are modest).
-      std::fill(last.begin(), last.end(), -1);
-      for (std::size_t k = 0; k <= i; ++k) {
-        if (dead[k]) continue;
-        for (Qubit q : ops[k].qubits) last[q] = static_cast<int>(k);
+      // A merge leaves `last` as it is; a cancelled pair pops j back off.
+      if (dead[j]) {
+        const auto& qs = ops[j].qubits;
+        for (std::size_t k = qs.size(); k-- > 0;)
+          last[qs[k]] = links[link_at[j] + k];
       }
       continue;
     }
-    for (Qubit q : op.qubits) last[q] = static_cast<int>(i);
+    push(i);
   }
   if (std::none_of(dead.begin(), dead.end(), [](bool d) { return d; }))
     return false;

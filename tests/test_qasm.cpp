@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "core/circuit.hpp"
@@ -248,6 +249,74 @@ TEST(Qasm, RegisterCapAppliesToTheTotal) {
   const qasm::ParseError e = register_error("qreg a[16777215];\nqreg b[2];");
   EXPECT_EQ(e.line(), 3);
   EXPECT_EQ(e.col(), 8);
+}
+
+/// Parse `rz(<expr>) q[0];` on line 3 and return the angle.
+double parse_angle(const std::string& expr) {
+  const QuantumCircuit qc =
+      qasm::parse("OPENQASM 2.0;\nqreg q[1];\nrz(" + expr + ") q[0];\n");
+  return qc.ops().at(0).params.at(0);
+}
+
+/// The ParseError `rz(<expr>) q[0];` raises on line 3.
+qasm::ParseError angle_error(const std::string& expr) {
+  try {
+    parse_angle(expr);
+  } catch (const qasm::ParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected ParseError";
+  return qasm::ParseError("none", 0, 0);
+}
+
+std::string repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(Qasm, DeepParenthesesAreRejected) {
+  // Used to recurse once per '(' until the stack overflowed. The error
+  // points at the first '(' past the cap; the expression starts at col 4.
+  const qasm::ParseError e = angle_error(std::string(100000, '('));
+  EXPECT_EQ(e.line(), 3);
+  EXPECT_EQ(e.col(), 4 + qasm::kMaxExprDepth);
+  EXPECT_NE(std::string(e.what()).find("nested"), std::string::npos);
+  const int cap = qasm::kMaxExprDepth;
+  EXPECT_EQ(parse_angle(repeat("(", cap) + "0.5" + repeat(")", cap)), 0.5);
+  const std::string close = repeat(")", cap + 1);
+  EXPECT_THROW(parse_angle(repeat("(", cap + 1) + "0.5" + close),
+               qasm::ParseError);
+  EXPECT_THROW(parse_angle(repeat("sin(", cap + 1) + "0" + close),
+               qasm::ParseError);
+}
+
+TEST(Qasm, DeepUnaryMinusIsRejected) {
+  const qasm::ParseError e = angle_error(std::string(100000, '-') + "1");
+  EXPECT_EQ(e.line(), 3);
+  EXPECT_EQ(e.col(), 4 + qasm::kMaxExprDepth);
+  EXPECT_THROW(parse_angle(std::string(100000, '+') + "1"), qasm::ParseError);
+}
+
+TEST(Qasm, LongOperatorChainsAreRejected) {
+  // Iterative to parse, but the left-deep tree is evaluated and destroyed
+  // recursively, so a chain counts one level per operator.
+  EXPECT_THROW(parse_angle("1" + repeat("+1", 100000)), qasm::ParseError);
+  EXPECT_THROW(parse_angle("2" + repeat("^1", 100000)), qasm::ParseError);
+  EXPECT_EQ(parse_angle("1" + repeat("+1", 63)), 64.0);
+}
+
+TEST(Qasm, Depth64ExpressionParses) {
+  EXPECT_EQ(parse_angle(repeat("-", 64) + "0.25"), 0.25);
+  EXPECT_EQ(parse_angle(repeat("(", 64) + "pi/4" + repeat(")", 64)), PI / 4);
+  // 64 nested negated parentheses: "-(" is two levels each.
+  EXPECT_EQ(parse_angle(repeat("-(", 64) + "0.5" + repeat(")", 64)), 0.5);
+  EXPECT_DOUBLE_EQ(parse_angle(repeat("cos(", 64) + "0" + repeat(")", 64)),
+                   [] {
+                     double x = 0;
+                     for (int i = 0; i < 64; ++i) x = std::cos(x);
+                     return x;
+                   }());
 }
 
 TEST(Qasm, UnknownRegisterThrows) {
