@@ -11,6 +11,7 @@
 #include <cmath>
 #include <functional>
 
+#include "aqua/algorithms.hpp"
 #include "arch/backend.hpp"
 #include "map/noise_aware.hpp"
 #include "transpiler/transpile.hpp"
@@ -143,15 +144,52 @@ void BM_DirectedCxErrorLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectedCxErrorLookup)->Arg(7)->Arg(21);
 
+/// The model is memoized per device, so a cold build needs a calibration
+/// change on every call: alternate two that differ in one cx_error bit.
 void BM_FidelityModelBuild(benchmark::State& state) {
-  const arch::Backend backend =
+  const arch::Backend a =
       arch::heavy_hex_backend(static_cast<int>(state.range(0)));
+  arch::Calibration cal = a.calibration();
+  cal.cx_error[0] = std::nextafter(cal.cx_error[0], 1.0);
+  const arch::Backend b(a.coupling_map(), cal, a.basis());
+  bool flip = false;
   for (auto _ : state) {
-    const map::FidelityModel m = map::make_fidelity_model(backend);
-    benchmark::DoNotOptimize(m.dist.size());
+    flip = !flip;
+    const auto m = map::shared_fidelity_model(flip ? b : a);
+    benchmark::DoNotOptimize(m->dist.size());
   }
 }
 BENCHMARK(BM_FidelityModelBuild)->Arg(7)->Arg(13);
+
+/// What every SabreMapper run after the first pays: an exact key compare.
+void BM_FidelityModelWarm(benchmark::State& state) {
+  const arch::Backend backend =
+      arch::heavy_hex_backend(static_cast<int>(state.range(0)));
+  map::shared_fidelity_model(backend);
+  for (auto _ : state) {
+    const auto m = map::shared_fidelity_model(backend);
+    benchmark::DoNotOptimize(m->dist.size());
+  }
+}
+BENCHMARK(BM_FidelityModelWarm)->Arg(7)->Arg(13);
+
+/// Calibration-aware placement on Eagle for two eagle-compile classes:
+/// arg 0 = random-32 (5 gates per qubit), arg 1 = QFT-20.
+void BM_NoiseAwareLayout(benchmark::State& state) {
+  const arch::Backend eagle = arch::heavy_hex_backend(7);
+  const QuantumCircuit qc = state.range(0) == 0
+                                ? bench::random_circuit(32, 160, 17)
+                                : transpiler::detail::lower_to_router_basis(
+                                      aqua::qft(20));
+  for (auto _ : state) {
+    const map::Layout layout = map::noise_aware_layout(qc, eagle);
+    benchmark::DoNotOptimize(layout.l2p.data());
+  }
+}
+BENCHMARK(BM_NoiseAwareLayout)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

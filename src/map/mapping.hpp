@@ -74,6 +74,8 @@ inline constexpr std::uint64_t kMapSeedFromEnv = ~std::uint64_t{0};
 /// so the median edge costs ~1 — commensurate with the hop counts the
 /// calibration-blind router uses — and `dist` holds all-pairs shortest
 /// paths under those weights (undirected: a coupler's cheaper orientation).
+/// SabreMapper reads it through map::shared_fidelity_model, one immutable
+/// instance per device.
 struct FidelityModel {
   int num_physical = 0;
   std::vector<double> dist;       // n*n weighted all-pairs distances

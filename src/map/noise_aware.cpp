@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <stdexcept>
+
+#include "arch/device_memo.hpp"
 
 namespace qtc::map {
 
@@ -17,17 +20,38 @@ Layout noise_aware_layout(const QuantumCircuit& circuit,
   const auto& coupling = backend.coupling_map();
   const auto& cal = backend.calibration();
 
-  // Logical interaction weights.
-  std::vector<std::vector<double>> weight(nl, std::vector<double>(nl, 0));
+  // Logical interaction weights as per-qubit partner lists. Runs of equal
+  // sorted (lo, hi) pairs are appended to both ends in sorted order, so
+  // every list is ordered by partner index and a walk over it visits the
+  // pairs in the same order as a dense l < m double loop.
+  struct Partner {
+    int m;
+    double w;
+  };
+  std::vector<std::vector<Partner>> partners(nl);
   std::vector<double> total(nl, 0);
+  std::vector<std::pair<int, int>> pairs;
   for (const auto& op : circuit.ops()) {
     if (op.kind == OpKind::Barrier || !op_is_unitary(op.kind)) continue;
     if (op.qubits.size() != 2) continue;
     const int a = op.qubits[0], b = op.qubits[1];
-    weight[a][b] += 1;
-    weight[b][a] += 1;
     total[a] += 1;
     total[b] += 1;
+    if (a != b) pairs.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  double weight_sum = 0;
+  int num_pairs = 0;
+  for (std::size_t i = 0; i < pairs.size();) {
+    std::size_t j = i;
+    while (j < pairs.size() && pairs[j] == pairs[i]) ++j;
+    const auto [lo, hi] = pairs[i];
+    const double w = static_cast<double>(j - i);
+    partners[lo].push_back({hi, w});
+    partners[hi].push_back({lo, w});
+    weight_sum += w;
+    ++num_pairs;
+    i = j;
   }
 
   std::vector<int> order(nl);
@@ -54,22 +78,79 @@ Layout noise_aware_layout(const QuantumCircuit& circuit,
 
   // Figure of merit for a complete layout: reward coupled low-error pairs,
   // penalize distance for uncoupled partners, mildly reward good readout.
+  // A pair term is scored in the orientation (l2p[lo], l2p[hi]) because
+  // cx_error can differ by direction.
+  auto pair_term = [&](double w, int plo, int phi) {
+    if (coupling.connected(plo, phi)) return w * edge_quality(plo, phi);
+    return -(0.3 * w * (coupling.distance(plo, phi) - 1));
+  };
+  auto readout_term = [&](int p) {
+    return 0.01 * (1.0 - cal.readout_error[p]);
+  };
   auto objective = [&](const Layout& candidate) {
     double score = 0;
     for (int l = 0; l < nl; ++l) {
-      for (int m = l + 1; m < nl; ++m) {
-        if (weight[l][m] == 0) continue;
-        const int pl = candidate.l2p[l], pm = candidate.l2p[m];
-        if (coupling.connected(pl, pm))
-          score += weight[l][m] * edge_quality(pl, pm);
-        else
-          score -= 0.3 * weight[l][m] * (coupling.distance(pl, pm) - 1);
-      }
-      score += 0.01 * (1.0 - cal.readout_error[candidate.l2p[l]]);
+      for (const Partner& pm : partners[l])
+        if (pm.m > l)
+          score += pair_term(pm.w, candidate.l2p[l], candidate.l2p[pm.m]);
+      score += readout_term(candidate.l2p[l]);
     }
     return score;
   };
-  // Local search: keep swapping physical assignments while it helps.
+
+  // Change in the objective, in exact arithmetic over the same terms, if
+  // the occupants of p1 and p2 were exchanged: only the terms that touch a
+  // moved logical qubit change.
+  auto swap_delta = [&](const Layout& c, int p1, int p2) {
+    const int a = c.p2l[p1], b = c.p2l[p2];
+    double delta = 0, w_ab = 0;
+    auto moved = [&](int l, int from, int to, int other) {
+      for (const Partner& pm : partners[l]) {
+        if (pm.m == other) {
+          w_ab = pm.w;
+          continue;
+        }
+        const int q = c.l2p[pm.m];
+        delta += l < pm.m ? pair_term(pm.w, to, q) - pair_term(pm.w, from, q)
+                          : pair_term(pm.w, q, to) - pair_term(pm.w, q, from);
+      }
+      delta += readout_term(to) - readout_term(from);
+    };
+    if (a >= 0) moved(a, p1, p2, b);
+    if (b >= 0) moved(b, p2, p1, a);
+    if (w_ab != 0) {
+      // The moved pair itself: (p1, p2) becomes (p2, p1) in (a, b) order.
+      delta += a < b ? pair_term(w_ab, p2, p1) - pair_term(w_ab, p1, p2)
+                     : pair_term(w_ab, p1, p2) - pair_term(w_ab, p2, p1);
+    }
+    return delta;
+  };
+
+  // A candidate whose delta is below -margin cannot pass the full
+  // evaluation's `trial > current + 1e-12` test, so it is skipped. The
+  // margin bounds the rounding error of the comparison: objective() adds
+  // n = #pairs + nl terms, so each of the two full sums is within
+  // n*u*S of its exact value (u = eps/2, S = the sum of |term| over one
+  // layout); swap_delta rounds each of at most n touched-term differences
+  // once and adds them up, within (n + 1)*u*2S. Together (2n + 1)*eps*S,
+  // taken four times over. S is bounded per pair by its weight times the
+  // largest |1 - cx_error| or 0.3 * np (an unreachable pair reports
+  // distance np), and per qubit by 0.01 * max|1 - readout_error|.
+  double quality_mag = 0, readout_mag = 0;
+  for (double e : cal.cx_error)
+    quality_mag = std::max(quality_mag, std::abs(1.0 - e));
+  for (double r : cal.readout_error)
+    readout_mag = std::max(readout_mag, std::abs(1.0 - r));
+  const double term_sum_bound =
+      weight_sum * std::max(quality_mag, 0.3 * np) + 0.01 * readout_mag * nl;
+  const double n_terms = num_pairs + nl;
+  const double margin = 4.0 * (2.0 * n_terms + 1.0) *
+                        std::numeric_limits<double>::epsilon() *
+                        term_sum_bound;
+
+  // Local search: keep swapping physical assignments while it helps. Only
+  // candidates the delta cannot rule out pay for a full evaluation, and
+  // those are decided exactly as a full rescan would decide them.
   auto hill_climb = [&](Layout candidate) {
     bool improved = true;
     int rounds = 0;
@@ -79,6 +160,7 @@ Layout noise_aware_layout(const QuantumCircuit& circuit,
       for (int p1 = 0; p1 < np; ++p1) {
         for (int p2 = p1 + 1; p2 < np; ++p2) {
           if (candidate.p2l[p1] == -1 && candidate.p2l[p2] == -1) continue;
+          if (swap_delta(candidate, p1, p2) < -margin) continue;
           candidate.swap_physical(p1, p2);
           const double trial = objective(candidate);
           if (trial > current + 1e-12) {
@@ -101,13 +183,13 @@ Layout noise_aware_layout(const QuantumCircuit& circuit,
       if (layout.p2l[p] != -1) continue;
       double score = 0;
       bool has_placed_neighbor = false;
-      for (int m = 0; m < nl; ++m) {
-        if (weight[l][m] == 0 || layout.l2p[m] == -1) continue;
+      for (const Partner& pm : partners[l]) {
+        if (layout.l2p[pm.m] == -1) continue;
         has_placed_neighbor = true;
-        const int pm = layout.l2p[m];
-        score += weight[l][m] * edge_quality(p, pm);
+        const int q = layout.l2p[pm.m];
+        score += pm.w * edge_quality(p, q);
         // Mild pull towards partners even when not directly coupled.
-        score -= 0.05 * weight[l][m] * coupling.distance(p, pm);
+        score -= 0.05 * pm.w * coupling.distance(p, q);
       }
       if (!has_placed_neighbor) score = site_quality(p);
       if (score > best_score) {
@@ -233,6 +315,12 @@ FidelityModel make_fidelity_model(const arch::Backend& backend) {
               m.dist.begin() + static_cast<std::size_t>(s) * n);
   }
   return m;
+}
+
+std::shared_ptr<const FidelityModel> shared_fidelity_model(
+    const arch::Backend& backend) {
+  static arch::DeviceMemo<FidelityModel> memo;
+  return memo.get(backend, make_fidelity_model);
 }
 
 }  // namespace qtc::map

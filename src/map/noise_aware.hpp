@@ -5,6 +5,8 @@
 // "improved solutions" the paper invites the EDA community to contribute
 // on top of the stock flow.
 
+#include <memory>
+
 #include "arch/backend.hpp"
 #include "map/mapping.hpp"
 
@@ -37,5 +39,12 @@ double estimated_success(const QuantumCircuit& physical_circuit,
 /// FidelityModel in map/mapping.hpp). Throws if the backend's calibration
 /// does not cover every coupling-map edge.
 FidelityModel make_fidelity_model(const arch::Backend& backend);
+
+/// The same model, built once per device and shared read-only: a one-entry
+/// arch::DeviceMemo keyed exactly on the device (as noise::from_backend's
+/// is), so repeated mapper runs on one backend neither rebuild the all-pairs
+/// table nor copy it. A different device replaces the entry. Thread-safe.
+std::shared_ptr<const FidelityModel> shared_fidelity_model(
+    const arch::Backend& backend);
 
 }  // namespace qtc::map

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "core/parallel.hpp"
@@ -309,12 +310,12 @@ MappingResult SabreMapper::run(const QuantumCircuit& circuit,
   const std::uint64_t seed =
       seed_ != kMapSeedFromEnv ? seed_ : default_map_seed();
 
-  // Fidelity-aware mode: build the weighted cost model once, shared
-  // read-only by every trial.
+  // Fidelity-aware mode: the device's weighted cost model, built once per
+  // device and shared read-only by every trial and every run.
   const bool fid_on = fidelity_ && backend_ != nullptr;
-  FidelityModel model;
-  if (fid_on) model = make_fidelity_model(*backend_);
-  const FidelityModel* fid = fid_on ? &model : nullptr;
+  std::shared_ptr<const FidelityModel> model;
+  if (fid_on) model = shared_fidelity_model(*backend_);
+  const FidelityModel* fid = model.get();
 
   const auto& ops = circuit.ops();
   const OpDag dag(ops, circuit.num_qubits(), circuit.num_clbits());

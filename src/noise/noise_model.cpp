@@ -1,11 +1,9 @@
 #include "noise/noise_model.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cstdint>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
+
+#include "arch/device_memo.hpp"
 
 namespace qtc::noise {
 
@@ -114,62 +112,15 @@ NoiseModel build_from_backend(const arch::Backend& backend) {
   return model;
 }
 
-/// Everything build_from_backend reads. Doubles compare by bit pattern, so
-/// a hit is only ever served for inputs that rebuild the identical model.
-struct BackendKey {
-  int num_qubits = 0;
-  std::vector<std::pair<int, int>> edges;
-  arch::Calibration cal;
-};
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](double x, double y) { return same_bits(x, y); });
-}
-
-bool same_input(const BackendKey& key, const arch::Backend& backend) {
-  const arch::Calibration& cal = backend.calibration();
-  return key.num_qubits == backend.num_qubits() &&
-         key.edges == backend.coupling_map().edges() &&
-         same_bits(key.cal.single_qubit_error, cal.single_qubit_error) &&
-         same_bits(key.cal.readout_error, cal.readout_error) &&
-         same_bits(key.cal.t1_us, cal.t1_us) &&
-         same_bits(key.cal.t2_us, cal.t2_us) &&
-         same_bits(key.cal.cx_error, cal.cx_error) &&
-         same_bits(key.cal.cx_duration_us, cal.cx_duration_us) &&
-         same_bits(key.cal.gate_time_1q_us, cal.gate_time_1q_us) &&
-         same_bits(key.cal.gate_time_cx_us, cal.gate_time_cx_us);
-}
-
 }  // namespace
 
-/// The memo holds one entry: the last input built. Every perfbench workload
+/// The memo holds one entry: the last device built. Every perfbench workload
 /// that reaches from_backend sends it a single device, so one entry serves
 /// them all; a miss replaces the entry. A replaced model's channels stay
 /// alive while any copy handed out still references them.
 NoiseModel from_backend(const arch::Backend& backend) {
-  static std::mutex mu;
-  static BackendKey key;
-  static std::shared_ptr<const NoiseModel> cached;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (cached && same_input(key, backend)) return *cached;
-  }
-  // Build outside the lock; a concurrent builder of the same input that
-  // stored first wins, and this call adopts its channels.
-  auto built = std::make_shared<const NoiseModel>(build_from_backend(backend));
-  BackendKey fresh{backend.num_qubits(), backend.coupling_map().edges(),
-                   backend.calibration()};
-  std::shared_ptr<const NoiseModel> replaced;  // freed after the unlock
-  std::lock_guard<std::mutex> lock(mu);
-  if (cached && same_input(key, backend)) return *cached;
-  key = std::move(fresh);
-  replaced = std::exchange(cached, built);
-  return *built;
+  static arch::DeviceMemo<NoiseModel> memo;
+  return *memo.get(backend, build_from_backend);
 }
 
 NoiseModel uniform_depolarizing(double p1, double p2, double readout) {

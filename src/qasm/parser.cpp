@@ -1,7 +1,10 @@
 #include "qasm/parser.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -74,9 +77,15 @@ using ExprPtr = std::unique_ptr<Expr>;
 // Gate definitions (macros)
 // ---------------------------------------------------------------------------
 
+struct GateDef;
+
 struct GateStmt {
   bool is_barrier = false;
   std::string name;                 // gate to apply
+  // The definition `name` had when the enclosing gate was defined; null for
+  // a native kind (or an unknown name, which fails when applied). Binding
+  // at definition time makes recursive definitions impossible.
+  const GateDef* def = nullptr;
   std::vector<ExprPtr> params;      // expressions over the def's parameters
   std::vector<int> qarg_indices;    // indices into the def's qubit args
   int line = 0;
@@ -88,7 +97,21 @@ struct GateDef {
   std::vector<std::string> qargs;
   std::vector<GateStmt> body;
   bool opaque = false;
+  // Ops one application appends, saturating at kMaxExpandedOps + 1.
+  std::uint64_t expanded_ops = 0;
+  // Definition levels one application recurses through (1 = native body).
+  int nesting = 1;
 };
+
+constexpr std::uint64_t kOpsCap = kMaxExpandedOps + 1;
+
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return std::min(a + b, kOpsCap);  // a, b <= kOpsCap: no wraparound
+}
+
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
+  return a != 0 && b > kOpsCap / a ? kOpsCap : std::min(a * b, kOpsCap);
+}
 
 // An operand in a top-level statement: a whole register or one bit of it.
 struct Operand {
@@ -389,11 +412,27 @@ class Parser {
             stmt.qarg_indices.push_back(qarg_index(expect_name(), st.line));
           expect_sym(";");
         }
+        if (!stmt.is_barrier) {
+          const auto it = gate_defs_.find(stmt.name);
+          if (it != gate_defs_.end()) stmt.def = it->second;
+        }
+        if (stmt.def) {
+          def.nesting = std::max(def.nesting, stmt.def->nesting + 1);
+          if (def.nesting > kMaxGateNesting)
+            throw ParseError("gate definitions nested deeper than " +
+                                 std::to_string(kMaxGateNesting) + " levels",
+                             st.line, st.col);
+        }
+        def.expanded_ops = saturating_add(
+            def.expanded_ops, stmt.def ? stmt.def->expanded_ops : 1);
         def.body.push_back(std::move(stmt));
       }
       expect_sym("}");
     }
-    gate_defs_[def.name] = std::move(def);
+    // A redefinition shadows the name; bodies bound to the old definition
+    // keep it, so definitions live in a deque that never moves them.
+    gate_store_.push_back(std::move(def));
+    gate_defs_[gate_store_.back().name] = &gate_store_.back();
   }
 
   Operand parse_operand(bool classical) {
@@ -440,6 +479,15 @@ class Parser {
     return width;
   }
 
+  /// Refuse a statement that would grow the circuit past kMaxExpandedOps,
+  /// before any of its ops is built.
+  void reserve_ops(std::uint64_t count, const Token& t) const {
+    if (saturating_add(circ_.size(), count) > kMaxExpandedOps)
+      throw ParseError("program expands to more than " +
+                           std::to_string(kMaxExpandedOps) + " operations",
+                       t.line, t.col);
+  }
+
   void quantum_op(int cond_reg, std::uint64_t cond_val) {
     const Token& t = peek();
     std::string name = expect_name();
@@ -453,6 +501,7 @@ class Parser {
       if (wq != wc)
         throw ParseError("measure: quantum/classical width mismatch", t.line,
                          t.col);
+      reserve_ops(wq, t);
       for (int i = 0; i < wq; ++i) {
         Operation op;
         op.kind = OpKind::Measure;
@@ -468,6 +517,7 @@ class Parser {
       const Operand q = parse_operand(false);
       expect_sym(";");
       const int w = broadcast_width({q}, false, t.line);
+      reserve_ops(w, t);
       for (int i = 0; i < w; ++i) {
         Operation op;
         op.kind = OpKind::Reset;
@@ -483,6 +533,7 @@ class Parser {
       args.push_back(parse_operand(false));
       while (accept_sym(",")) args.push_back(parse_operand(false));
       expect_sym(";");
+      reserve_ops(1, t);
       std::vector<Qubit> qubits;
       for (const auto& arg : args) {
         if (arg.index >= 0) {
@@ -514,21 +565,24 @@ class Parser {
     expect_sym(";");
 
     const int width = broadcast_width(args, false, t.line);
+    const auto def_it = gate_defs_.find(name);
+    const GateDef* def = def_it == gate_defs_.end() ? nullptr : def_it->second;
+    reserve_ops(saturating_mul(width, def ? def->expanded_ops : 1), t);
     for (int i = 0; i < width; ++i) {
       std::vector<Qubit> qubits;
       qubits.reserve(args.size());
       for (const auto& arg : args) qubits.push_back(flat_qubit(arg, i));
-      apply_gate(name, params, qubits, cond_reg, cond_val, t.line);
+      apply_gate(name, def, params, qubits, cond_reg, cond_val, t.line);
     }
   }
 
-  /// Apply a gate by name: native kinds directly, custom definitions by
-  /// macro expansion (recursively).
-  void apply_gate(const std::string& name, const std::vector<double>& params,
+  /// Apply a gate: a native kind (def == nullptr) directly, a custom
+  /// definition by macro expansion (recursively).
+  void apply_gate(const std::string& name, const GateDef* def,
+                  const std::vector<double>& params,
                   const std::vector<Qubit>& qubits, int cond_reg,
                   std::uint64_t cond_val, int line) {
-    auto def_it = gate_defs_.find(name);
-    if (def_it == gate_defs_.end()) {
+    if (def == nullptr) {
       const auto kind = op_from_name(name);
       if (!kind)
         throw ParseError("unknown gate '" + name + "'", line, 0);
@@ -541,17 +595,17 @@ class Parser {
       circ_.append(std::move(op));
       return;
     }
-    const GateDef& def = def_it->second;
-    if (def.opaque)
+    if (def->opaque)
       throw ParseError("opaque gate '" + name + "' cannot be applied", line,
                        0);
-    if (params.size() != def.params.size() || qubits.size() != def.qargs.size())
+    if (params.size() != def->params.size() ||
+        qubits.size() != def->qargs.size())
       throw ParseError("gate '" + name + "': argument count mismatch", line,
                        0);
     std::map<std::string, double> env;
     for (std::size_t i = 0; i < params.size(); ++i)
-      env[def.params[i]] = params[i];
-    for (const GateStmt& stmt : def.body) {
+      env[def->params[i]] = params[i];
+    for (const GateStmt& stmt : def->body) {
       std::vector<Qubit> sub_qubits;
       sub_qubits.reserve(stmt.qarg_indices.size());
       for (int idx : stmt.qarg_indices) sub_qubits.push_back(qubits[idx]);
@@ -563,8 +617,8 @@ class Parser {
       sub_params.reserve(stmt.params.size());
       for (const auto& e : stmt.params)
         sub_params.push_back(e->eval(env, stmt.line));
-      apply_gate(stmt.name, sub_params, sub_qubits, cond_reg, cond_val,
-                 stmt.line);
+      apply_gate(stmt.name, stmt.def, sub_params, sub_qubits, cond_reg,
+                 cond_val, stmt.line);
     }
   }
 
@@ -572,7 +626,8 @@ class Parser {
   std::size_t pos_ = 0;
   int depth_ = 0;  // expression nesting, see enter()
   QuantumCircuit circ_;
-  std::map<std::string, GateDef> gate_defs_;
+  std::deque<GateDef> gate_store_;
+  std::map<std::string, const GateDef*> gate_defs_;
 };
 
 std::string bit_ref(const std::vector<Register>& regs, int flat) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/circuit.hpp"
@@ -296,6 +298,119 @@ TEST(Qasm, DeepUnaryMinusIsRejected) {
   EXPECT_EQ(e.line(), 3);
   EXPECT_EQ(e.col(), 4 + qasm::kMaxExprDepth);
   EXPECT_THROW(parse_angle(std::string(100000, '+') + "1"), qasm::ParseError);
+}
+
+/// `gate d0 a { h a; h a; }` and `gate dk a { d(k-1) a; d(k-1) a; }` for
+/// k < levels, one per line from line 3: d(k) expands to 2^(k+1) ops.
+std::string doubling_chain(int levels) {
+  std::string src = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+  src += "gate d0 a { h a; h a; }\n";
+  for (int k = 1; k < levels; ++k)
+    src += "gate d" + std::to_string(k) + " a { d" + std::to_string(k - 1) +
+           " a; d" + std::to_string(k - 1) + " a; }\n";
+  return src;
+}
+
+qasm::ParseError parse_error(const std::string& source) {
+  try {
+    qasm::parse(source);
+  } catch (const qasm::ParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected ParseError";
+  return qasm::ParseError("none", 0, 0);
+}
+
+TEST(Qasm, DoublingGateChainIsRejectedBeforeExpanding) {
+  // 40 levels ask for 2^40 ops; the count recorded with each definition
+  // rejects the application at its token without building any op.
+  const std::string chain = doubling_chain(40);
+  const qasm::ParseError e =
+      parse_error(chain + "qreg q[2];\nh q[0];\n  d39 q[1];\n");
+  EXPECT_EQ(e.line(), 3 + 40 + 2);
+  EXPECT_EQ(e.col(), 3);
+  EXPECT_NE(std::string(e.what()).find("operations"), std::string::npos);
+  // An in-budget definition broadcast past the cap is rejected too:
+  // d20 is 2^21 ops, over a 4-qubit register 2^23 > kMaxExpandedOps.
+  static_assert(qasm::kMaxExpandedOps < (std::uint64_t{1} << 23));
+  EXPECT_THROW(qasm::parse(chain + "qreg q[4];\nd20 q;\n"), qasm::ParseError);
+  // Small members of the same chain still expand.
+  const QuantumCircuit qc = qasm::parse(chain + "qreg q[1];\nd5 q[0];\n");
+  EXPECT_EQ(qc.size(), 64u);
+}
+
+TEST(Qasm, NestedDefinitionsExpandOpForOp) {
+  // Six levels over a parameterized two-qubit base: each level applies the
+  // one below twice (operands swapped, angle transformed) around a barrier.
+  std::string src = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+  src += "gate l0(t) a, b { cx a, b; rz(t) b; }\n";
+  for (int k = 1; k <= 6; ++k) {
+    const std::string lo = "l" + std::to_string(k - 1);
+    src += "gate l" + std::to_string(k) + "(t) a, b { " + lo +
+           "(t/2) a, b; barrier a; " + lo + "(-t) b, a; }\n";
+  }
+  src += "qreg q[2];\nl6(0.75) q[1], q[0];\n";
+  const QuantumCircuit got = qasm::parse(src);
+
+  QuantumCircuit want(2);
+  std::function<void(int, double, int, int)> expand = [&](int k, double t,
+                                                          int a, int b) {
+    if (k == 0) {
+      want.cx(a, b).rz(t, b);
+      return;
+    }
+    expand(k - 1, t / 2, a, b);
+    want.barrier({a});
+    expand(k - 1, -t, b, a);
+  };
+  expand(6, 0.75, 1, 0);
+  ASSERT_EQ(got.size(), 2u * 64 + 63);
+  EXPECT_EQ(got.ops(), want.ops());
+}
+
+TEST(Qasm, GateNestingIsCapped) {
+  // A chain of one-statement definitions expands to a single op, so only
+  // the nesting cap bounds the expander's recursion.
+  std::string src = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+  src += "gate n0 a { h a; }\n";
+  for (int k = 1; k < qasm::kMaxGateNesting; ++k)
+    src += "gate n" + std::to_string(k) + " a { n" + std::to_string(k - 1) +
+           " a; }\n";
+  const std::string top = "n" + std::to_string(qasm::kMaxGateNesting - 1);
+  const QuantumCircuit qc =
+      qasm::parse(src + "qreg q[1];\n" + top + " q[0];\n");
+  ASSERT_EQ(qc.size(), 1u);
+  EXPECT_EQ(qc.ops()[0].kind, OpKind::H);
+  // One level more fails at the body statement that crosses the cap.
+  const qasm::ParseError e = parse_error(src + "gate deeper a { " + top +
+                                         " a; }\n");
+  EXPECT_EQ(e.line(), 3 + qasm::kMaxGateNesting);
+  EXPECT_EQ(e.col(), 17);
+  EXPECT_NE(std::string(e.what()).find("nested"), std::string::npos);
+}
+
+TEST(Qasm, GateBodiesBindDefinitionsWhenDefined) {
+  // A body may use only gates defined before it, so definitions cannot
+  // recurse: a self- or mutual reference fails as an unknown gate.
+  EXPECT_THROW(qasm::parse("OPENQASM 2.0;\ngate a x { b x; }\n"
+                           "gate b x { a x; }\nqreg q[1];\na q[0];\n"),
+               qasm::ParseError);
+  EXPECT_THROW(qasm::parse("OPENQASM 2.0;\ngate g x { g x; }\n"
+                           "qreg q[1];\ng q[0];\n"),
+               qasm::ParseError);
+  // qelib1's own definition of cx refers to the builtin CX.
+  const QuantumCircuit cx = qasm::parse(
+      "OPENQASM 2.0;\ngate cx c, t { CX c, t; }\nqreg q[2];\ncx q[0], q[1];\n");
+  ASSERT_EQ(cx.size(), 1u);
+  EXPECT_EQ(cx.ops()[0].kind, OpKind::CX);
+  // A redefinition applies from its own definition on; earlier bodies keep
+  // the definition they were defined with.
+  const QuantumCircuit qc = qasm::parse(
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\ngate g a { h a; }\n"
+      "gate f a { g a; }\ngate g a { x a; }\nqreg q[1];\nf q[0];\ng q[0];\n");
+  ASSERT_EQ(qc.size(), 2u);
+  EXPECT_EQ(qc.ops()[0].kind, OpKind::H);
+  EXPECT_EQ(qc.ops()[1].kind, OpKind::X);
 }
 
 TEST(Qasm, LongOperatorChainsAreRejected) {
