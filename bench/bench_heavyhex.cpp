@@ -13,6 +13,8 @@
 
 #include "aqua/algorithms.hpp"
 #include "arch/backend.hpp"
+#include "core/rng.hpp"
+#include "ignis/quantum_volume.hpp"
 #include "map/noise_aware.hpp"
 #include "transpiler/transpile.hpp"
 
@@ -189,6 +191,63 @@ void BM_NoiseAwareLayout(benchmark::State& state) {
 BENCHMARK(BM_NoiseAwareLayout)
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+/// Mirrored random Clifford with short-range CX (the clifford-scale shape):
+/// two layers of H/S/Sdg and CX to a qubit at most three places on, then
+/// their inverse.
+QuantumCircuit mirrored_clifford(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  QuantumCircuit c(n);
+  for (int layer = 0; layer < 2; ++layer) {
+    for (int q = 0; q < n; ++q) {
+      switch (rng.index(4)) {
+        case 0: c.h(q); break;
+        case 1: c.s(q); break;
+        case 2: c.sdg(q); break;
+        default: break;
+      }
+    }
+    for (int q = layer % 2; q + 1 < n; q += 2) {
+      if (rng.index(2)) continue;
+      c.cx(q, std::min(n - 1, q + 1 + static_cast<int>(rng.index(3))));
+    }
+  }
+  QuantumCircuit mirrored = c;
+  mirrored.compose(c.inverse());
+  return mirrored;
+}
+
+/// The routing layer alone: one SabreMapper::run (4-trial portfolio) on an
+/// already-lowered circuit. arg 0 = GHZ-400 and arg 1 = mirrored 300-qubit
+/// Clifford on the 433-qubit heavy-hex map, calibration-blind; arg 2 =
+/// QV-14 on Eagle, fidelity-aware.
+void BM_SabreRoute(benchmark::State& state) {
+  const int which = static_cast<int>(state.range(0));
+  const arch::Backend backend = arch::heavy_hex_backend(which == 2 ? 7 : 13);
+  QuantumCircuit qc;
+  if (which == 0) {
+    qc = QuantumCircuit(400);
+    qc.h(0);
+    for (int q = 0; q + 1 < 400; ++q) qc.cx(q, q + 1);
+  } else if (which == 1) {
+    qc = mirrored_clifford(300, 5);
+  } else {
+    Rng rng(14);
+    qc = ignis::qv_model_circuit(14, rng);
+  }
+  qc = transpiler::detail::lower_to_router_basis(qc);
+  const auto mapper =
+      map::SabreMapper(20, 0.5, 4, 21).with_fidelity(&backend, which == 2);
+  for (auto _ : state) {
+    const map::MappingResult r = mapper.run(qc, backend.coupling_map());
+    benchmark::DoNotOptimize(r.swaps_inserted);
+  }
+}
+BENCHMARK(BM_SabreRoute)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

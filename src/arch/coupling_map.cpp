@@ -41,17 +41,18 @@ void CouplingMap::build_tables() {
           neighbors_[a].push_back(b);
       }
   // All-pairs undirected shortest paths via BFS from every node.
-  dist_.assign(n_, std::vector<int>(n_, n_));
+  dist_.assign(static_cast<std::size_t>(n_) * n_, n_);
   for (int s = 0; s < n_; ++s) {
-    dist_[s][s] = 0;
+    int* row = dist_.data() + static_cast<std::size_t>(s) * n_;
+    row[s] = 0;
     std::queue<int> q;
     q.push(s);
     while (!q.empty()) {
       const int u = q.front();
       q.pop();
       for (int v : neighbors_[u])
-        if (dist_[s][v] > dist_[s][u] + 1) {
-          dist_[s][v] = dist_[s][u] + 1;
+        if (row[v] > row[u] + 1) {
+          row[v] = row[u] + 1;
           q.push(v);
         }
     }
@@ -72,16 +73,8 @@ int CouplingMap::edge_index(int a, int b) const {
   return edge_index_[a][b];
 }
 
-int CouplingMap::distance(int a, int b) const {
-  if (a < 0 || a >= n_ || b < 0 || b >= n_)
-    throw std::out_of_range("coupling map: qubit out of range");
-  return dist_[a][b];
-}
-
-const std::vector<int>& CouplingMap::neighbors(int q) const {
-  if (q < 0 || q >= n_)
-    throw std::out_of_range("coupling map: qubit out of range");
-  return neighbors_[q];
+void CouplingMap::throw_out_of_range() {
+  throw std::out_of_range("coupling map: qubit out of range");
 }
 
 std::vector<int> CouplingMap::shortest_path(int a, int b) const {
@@ -110,9 +103,9 @@ std::vector<int> CouplingMap::shortest_path(int a, int b) const {
 }
 
 bool CouplingMap::is_connected() const {
-  for (int i = 0; i < n_; ++i)
-    for (int j = 0; j < n_; ++j)
-      if (dist_[i][j] >= n_ && i != j) return false;
+  // Undirected: connected iff qubit 0 reaches every other qubit.
+  for (int j = 1; j < n_; ++j)
+    if (dist_[j] >= n_) return false;
   return true;
 }
 

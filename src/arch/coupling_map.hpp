@@ -34,10 +34,17 @@ class CouplingMap {
   int edge_index(int a, int b) const;
 
   /// Undirected shortest-path distance (SWAP count between a and b is
-  /// distance(a, b) - 1). Unreachable pairs report num_qubits().
-  int distance(int a, int b) const;
+  /// distance(a, b) - 1). Unreachable pairs report num_qubits(). Inline:
+  /// the router calls it in its innermost scoring loop.
+  int distance(int a, int b) const {
+    if (a < 0 || a >= n_ || b < 0 || b >= n_) throw_out_of_range();
+    return dist_[static_cast<std::size_t>(a) * n_ + b];
+  }
   /// Neighbors in the undirected sense.
-  const std::vector<int>& neighbors(int q) const;
+  const std::vector<int>& neighbors(int q) const {
+    if (q < 0 || q >= n_) throw_out_of_range();
+    return neighbors_[q];
+  }
   /// One undirected shortest path from a to b (inclusive of endpoints).
   std::vector<int> shortest_path(int a, int b) const;
   /// True if the undirected graph is connected.
@@ -47,12 +54,13 @@ class CouplingMap {
 
  private:
   void build_tables();
+  [[noreturn]] static void throw_out_of_range();
 
   int n_ = 0;
   std::string name_;
   std::vector<std::pair<int, int>> edges_;
   std::vector<std::vector<bool>> directed_;
-  std::vector<std::vector<int>> dist_;
+  std::vector<int> dist_;  // n*n row-major undirected hop counts
   std::vector<std::vector<int>> neighbors_;
   std::vector<std::vector<int>> edge_index_;  // [a][b] -> edges() index or -1
 };

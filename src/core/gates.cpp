@@ -1,5 +1,6 @@
 #include "core/gates.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,30 +15,31 @@ struct OpInfo {
   int params;
 };
 
+/// Indexed by OpKind, in enum order.
+constexpr std::array<OpInfo, static_cast<std::size_t>(OpKind::ECR) + 1>
+    kOpInfo = {{
+        {"id", 1, 0},      {"x", 1, 0},       {"y", 1, 0},
+        {"z", 1, 0},       {"h", 1, 0},       {"s", 1, 0},
+        {"sdg", 1, 0},     {"t", 1, 0},       {"tdg", 1, 0},
+        {"sx", 1, 0},      {"sxdg", 1, 0},    {"rx", 1, 1},
+        {"ry", 1, 1},      {"rz", 1, 1},      {"p", 1, 1},
+        {"u2", 1, 2},      {"u", 1, 3},       {"cx", 2, 0},
+        {"cy", 2, 0},      {"cz", 2, 0},      {"ch", 2, 0},
+        {"crx", 2, 1},     {"cry", 2, 1},     {"crz", 2, 1},
+        {"cp", 2, 1},      {"cu", 2, 3},      {"swap", 2, 0},
+        {"iswap", 2, 0},   {"rzz", 2, 1},     {"rxx", 2, 1},
+        {"ccx", 3, 0},     {"cswap", 3, 0},   {"measure", 1, 0},
+        {"reset", 1, 0},   {"barrier", 0, 0}, {"ecr", 2, 0},
+    }};
+// Every kind up to ECR has an entry: a missing trailing entry would be
+// zero-initialized, with a null name.
+static_assert(kOpInfo.back().name != nullptr,
+              "kOpInfo must cover every OpKind up to ECR");
+
 const OpInfo& info(OpKind kind) {
-  static const std::unordered_map<OpKind, OpInfo> table = {
-      {OpKind::I, {"id", 1, 0}},       {OpKind::X, {"x", 1, 0}},
-      {OpKind::Y, {"y", 1, 0}},        {OpKind::Z, {"z", 1, 0}},
-      {OpKind::H, {"h", 1, 0}},        {OpKind::S, {"s", 1, 0}},
-      {OpKind::Sdg, {"sdg", 1, 0}},    {OpKind::T, {"t", 1, 0}},
-      {OpKind::Tdg, {"tdg", 1, 0}},    {OpKind::SX, {"sx", 1, 0}},
-      {OpKind::SXdg, {"sxdg", 1, 0}},  {OpKind::RX, {"rx", 1, 1}},
-      {OpKind::RY, {"ry", 1, 1}},      {OpKind::RZ, {"rz", 1, 1}},
-      {OpKind::P, {"p", 1, 1}},        {OpKind::U2, {"u2", 1, 2}},
-      {OpKind::U, {"u", 1, 3}},        {OpKind::CX, {"cx", 2, 0}},
-      {OpKind::CY, {"cy", 2, 0}},      {OpKind::CZ, {"cz", 2, 0}},
-      {OpKind::CH, {"ch", 2, 0}},      {OpKind::CRX, {"crx", 2, 1}},
-      {OpKind::CRY, {"cry", 2, 1}},    {OpKind::CRZ, {"crz", 2, 1}},
-      {OpKind::CP, {"cp", 2, 1}},      {OpKind::CU, {"cu", 2, 3}},
-      {OpKind::SWAP, {"swap", 2, 0}},  {OpKind::ISWAP, {"iswap", 2, 0}},
-      {OpKind::RZZ, {"rzz", 2, 1}},    {OpKind::RXX, {"rxx", 2, 1}},
-      {OpKind::CCX, {"ccx", 3, 0}},    {OpKind::CSWAP, {"cswap", 3, 0}},
-      {OpKind::Measure, {"measure", 1, 0}},
-      {OpKind::Reset, {"reset", 1, 0}},
-      {OpKind::Barrier, {"barrier", 0, 0}},
-      {OpKind::ECR, {"ecr", 2, 0}},
-  };
-  return table.at(kind);
+  const auto index = static_cast<std::size_t>(kind);
+  if (index >= kOpInfo.size()) throw std::out_of_range("unknown op kind");
+  return kOpInfo[index];
 }
 
 }  // namespace
@@ -69,11 +71,6 @@ std::optional<OpKind> op_from_name(const std::string& name) {
 
 int op_num_qubits(OpKind kind) { return info(kind).qubits; }
 int op_num_params(OpKind kind) { return info(kind).params; }
-
-bool op_is_unitary(OpKind kind) {
-  return kind != OpKind::Measure && kind != OpKind::Reset &&
-         kind != OpKind::Barrier;
-}
 
 bool op_is_multi_qubit(OpKind kind) { return op_num_qubits(kind) >= 2; }
 

@@ -67,7 +67,10 @@ int op_num_qubits(OpKind kind);
 /// Number of real parameters the gate carries.
 int op_num_params(OpKind kind);
 /// True for unitary gates (everything except Measure/Reset/Barrier).
-bool op_is_unitary(OpKind kind);
+inline bool op_is_unitary(OpKind kind) {
+  return kind != OpKind::Measure && kind != OpKind::Reset &&
+         kind != OpKind::Barrier;
+}
 /// True for gates with >= 2 qubits.
 bool op_is_multi_qubit(OpKind kind);
 

@@ -153,6 +153,36 @@ TEST(Gates, AliasesResolve) {
   EXPECT_FALSE(op_from_name("frobnicate").has_value());
 }
 
+TEST(Gates, MetadataForEveryKind) {
+  // (name, qubits, params) for every OpKind in enum order: the metadata the
+  // QASM/QBIN formats and the transpiler read.
+  struct Expected {
+    const char* name;
+    int qubits;
+    int params;
+  };
+  const std::vector<Expected> want = {
+      {"id", 1, 0},     {"x", 1, 0},       {"y", 1, 0},     {"z", 1, 0},
+      {"h", 1, 0},      {"s", 1, 0},       {"sdg", 1, 0},   {"t", 1, 0},
+      {"tdg", 1, 0},    {"sx", 1, 0},      {"sxdg", 1, 0},  {"rx", 1, 1},
+      {"ry", 1, 1},     {"rz", 1, 1},      {"p", 1, 1},     {"u2", 1, 2},
+      {"u", 1, 3},      {"cx", 2, 0},      {"cy", 2, 0},    {"cz", 2, 0},
+      {"ch", 2, 0},     {"crx", 2, 1},     {"cry", 2, 1},   {"crz", 2, 1},
+      {"cp", 2, 1},     {"cu", 2, 3},      {"swap", 2, 0},  {"iswap", 2, 0},
+      {"rzz", 2, 1},    {"rxx", 2, 1},     {"ccx", 3, 0},   {"cswap", 3, 0},
+      {"measure", 1, 0}, {"reset", 1, 0},  {"barrier", 0, 0}, {"ecr", 2, 0}};
+  ASSERT_EQ(want.size(), static_cast<std::size_t>(OpKind::ECR) + 1);
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const auto kind = static_cast<OpKind>(k);
+    EXPECT_STREQ(op_name(kind), want[k].name) << k;
+    EXPECT_EQ(op_num_qubits(kind), want[k].qubits) << want[k].name;
+    EXPECT_EQ(op_num_params(kind), want[k].params) << want[k].name;
+    const bool structural = kind == OpKind::Measure ||
+                            kind == OpKind::Reset || kind == OpKind::Barrier;
+    EXPECT_EQ(op_is_unitary(kind), !structural) << want[k].name;
+  }
+}
+
 TEST(Gates, ZyzDecomposeRoundTripsRandomUnitaries) {
   Rng rng(42);
   for (int trial = 0; trial < 50; ++trial) {
