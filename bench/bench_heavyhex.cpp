@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "aqua/algorithms.hpp"
 #include "arch/backend.hpp"
@@ -248,6 +249,41 @@ BENCHMARK(BM_SabreRoute)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+/// The post-routing pipeline alone (SWAP lowering, direction fixing,
+/// cancellation, the ECR/RZ/SX rewrite, the final coupling check) on a
+/// routed Eagle circuit, default optimization level, fidelity-aware routing
+/// done once outside the timed loop: arg 0 = QV-14, arg 1 = QFT-20. Each
+/// iteration hands finish_pipeline a fresh copy of the routed circuit; the
+/// copy is not timed.
+void BM_FinishPipeline(benchmark::State& state) {
+  const arch::Backend eagle = arch::heavy_hex_backend(7);
+  QuantumCircuit qc;
+  if (state.range(0) == 0) {
+    Rng rng(14);
+    qc = ignis::qv_model_circuit(14, rng);
+  } else {
+    qc = aqua::qft(20);
+  }
+  const transpiler::TranspileOptions opts =
+      transpiler::detail::resolve_options(opts_with_fidelity(1));
+  const map::MappingResult routed =
+      transpiler::detail::make_mapper(opts, eagle)
+          ->run(transpiler::detail::lower_to_router_basis(qc),
+                eagle.coupling_map());
+  for (auto _ : state) {
+    state.PauseTiming();
+    QuantumCircuit input = routed.circuit;
+    state.ResumeTiming();
+    const QuantumCircuit out = transpiler::detail::finish_pipeline(
+        std::move(input), routed.swaps_inserted > 0, eagle, opts);
+    benchmark::DoNotOptimize(out.size());
+  }
+}
+BENCHMARK(BM_FinishPipeline)
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

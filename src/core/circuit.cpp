@@ -1,7 +1,9 @@
 #include "core/circuit.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "core/drawer.hpp"
 
@@ -73,6 +75,17 @@ void QuantumCircuit::check_op(const Operation& op) const {
 QuantumCircuit& QuantumCircuit::append(Operation op) {
   check_op(op);
   ops_.push_back(std::move(op));
+  return *this;
+}
+
+QuantumCircuit& QuantumCircuit::append_all(std::vector<Operation> ops) {
+  for (const Operation& op : ops) check_op(op);
+  if (ops_.empty()) {
+    ops_ = std::move(ops);
+  } else {
+    ops_.insert(ops_.end(), std::make_move_iterator(ops.begin()),
+                std::make_move_iterator(ops.end()));
+  }
   return *this;
 }
 

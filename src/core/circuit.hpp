@@ -66,6 +66,10 @@ class QuantumCircuit {
 
   // --- builder methods -----------------------------------------------------
   QuantumCircuit& append(Operation op);
+  /// Append every op of `ops` in order, each validated as by append(); if
+  /// any op is invalid nothing is appended. An empty circuit adopts the
+  /// vector's storage instead of moving the ops one by one.
+  QuantumCircuit& append_all(std::vector<Operation> ops);
   QuantumCircuit& gate(OpKind kind, std::vector<Qubit> qubits,
                        std::vector<double> params = {});
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <utility>
 
 namespace qtc::transpiler {
 
@@ -53,8 +54,7 @@ double wrap_2pi(double angle) {
 
 }  // namespace
 
-QuantumCircuit CommutativeCancellation::run(
-    const QuantumCircuit& circuit) const {
+QuantumCircuit CommutativeCancellation::run(QuantumCircuit circuit) const {
   QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
   enum class Axis { None, Z, X };
   struct Run {
@@ -84,7 +84,7 @@ QuantumCircuit CommutativeCancellation::run(
     runs[q].angle += angle;
   };
 
-  for (const auto& op : circuit.ops()) {
+  for (auto& op : circuit.ops()) {
     const bool plain = op_is_unitary(op.kind) && !op.conditioned();
     if (plain && op.qubits.size() == 1) {
       if (const auto z = diagonal_angle(op)) {
@@ -96,14 +96,14 @@ QuantumCircuit CommutativeCancellation::run(
         continue;
       }
       flush(op.qubits[0]);
-      out.append(op);
+      out.append(std::move(op));
       continue;
     }
     if (plain && op.kind == OpKind::CX) {
       // Z runs commute through the control, X runs through the target.
       if (runs[op.qubits[0]].axis == Axis::X) flush(op.qubits[0]);
       if (runs[op.qubits[1]].axis == Axis::Z) flush(op.qubits[1]);
-      out.append(op);
+      out.append(std::move(op));
       continue;
     }
     if (plain && (op.kind == OpKind::CZ || op.kind == OpKind::CP ||
@@ -111,7 +111,7 @@ QuantumCircuit CommutativeCancellation::run(
       // Fully diagonal two-qubit gates commute with Z runs on both operands.
       for (Qubit q : op.qubits)
         if (runs[q].axis == Axis::X) flush(q);
-      out.append(op);
+      out.append(std::move(op));
       continue;
     }
     // Everything else is a barrier for its qubits (everything, when the op
@@ -121,7 +121,7 @@ QuantumCircuit CommutativeCancellation::run(
     } else {
       for (Qubit q : op.qubits) flush(q);
     }
-    out.append(op);
+    out.append(std::move(op));
   }
   for (Qubit q = 0; q < circuit.num_qubits(); ++q) flush(q);
   return out;

@@ -15,7 +15,7 @@ namespace qtc::transpiler {
 class CommutativeCancellation final : public Pass {
  public:
   std::string name() const override { return "commutative-cancellation"; }
-  QuantumCircuit run(const QuantumCircuit& circuit) const override;
+  QuantumCircuit run(QuantumCircuit circuit) const override;
 };
 
 }  // namespace qtc::transpiler

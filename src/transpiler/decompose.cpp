@@ -1,6 +1,9 @@
 #include "transpiler/decompose.hpp"
 
+#include <array>
+#include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 namespace qtc::transpiler {
 
@@ -60,9 +63,9 @@ void ccx_network(Qubit a, Qubit b, Qubit c, std::vector<Operation>& out) {
 }
 
 /// Expand one operation into {1q, CX} pieces; returns false when the op is
-/// already elementary (or non-unitary) and was emitted unchanged.
-bool expand(const Operation& op, std::vector<Operation>& out) {
-  const auto q = op.qubits;
+/// already elementary (or non-unitary) and was moved to `out` unchanged.
+bool expand(Operation& op, std::vector<Operation>& out) {
+  const auto& q = op.qubits;
   switch (op.kind) {
     case OpKind::CZ:
       out.push_back(make(OpKind::H, {q[1]}));
@@ -150,125 +153,186 @@ bool expand(const Operation& op, std::vector<Operation>& out) {
       out.push_back(make(OpKind::CX, {q[2], q[1]}));
       return true;
     default:
-      out.push_back(op);
+      out.push_back(std::move(op));
       return false;
   }
 }
 
+/// CX(c, t) = e^{-i pi/4} [SX t][S c] ECR(c, t) [X c] (phase dropped):
+/// hands X(c), ECR(c, t), S(c), SX(t) to `emit` in circuit order, each with
+/// the CX's condition. Direction-preserving: the ECR takes over the CX's own
+/// qubit list, so this must run after FixCxDirections.
+template <typename Emit>
+void expand_cx_to_ecr(Operation cx, Emit&& emit) {
+  const auto piece = [&](OpKind kind, Qubit q) {
+    Operation op = make(kind, {q});
+    op.cond_reg = cx.cond_reg;
+    op.cond_val = cx.cond_val;
+    return op;
+  };
+  Operation x = piece(OpKind::X, cx.qubits[0]);
+  Operation s = piece(OpKind::S, cx.qubits[0]);
+  Operation sx = piece(OpKind::SX, cx.qubits[1]);
+  cx.kind = OpKind::ECR;
+  emit(std::move(x));
+  emit(std::move(cx));
+  emit(std::move(s));
+  emit(std::move(sx));
+}
+
+/// Everything but CX passes RewriteToEcrBasis unchanged: 1q gates, ECR and
+/// non-unitary ops. Other multi-qubit gates must be decomposed first.
+void check_ecr_input(const Operation& op) {
+  if (op_is_unitary(op.kind) && op.qubits.size() > 1 &&
+      op.kind != OpKind::ECR)
+    throw std::invalid_argument(
+        "rewrite-ecr-basis: run decompose-multi-qubit first (found " +
+        std::string(op_name(op.kind)) + ")");
+}
+
+/// Appends `op` in the {RZ, SX, CX/ECR} basis: CX, ECR, RZ, SX, I and
+/// non-unitary ops as they are, every other 1q gate as
+/// U(theta, phi, lambda) ~ RZ(phi + pi) SX RZ(theta + pi) SX RZ(lambda)
+/// (global phase dropped), or a single RZ when it is diagonal. Near-zero
+/// RZs vanish; every emitted gate keeps `op`'s condition.
+void append_rzsx(Operation op, QuantumCircuit& out) {
+  if (!op_is_unitary(op.kind) || op.kind == OpKind::CX ||
+      op.kind == OpKind::ECR || op.kind == OpKind::RZ ||
+      op.kind == OpKind::SX || op.kind == OpKind::I) {
+    out.append(std::move(op));
+    return;
+  }
+  if (op.qubits.size() != 1)
+    throw std::invalid_argument(
+        "rewrite-rzsx-basis: run decompose-multi-qubit first (found " +
+        std::string(op_name(op.kind)) + ")");
+  const Qubit q = op.qubits[0];
+  const auto push_rz = [&](double angle) {
+    angle = std::remainder(angle, 2 * PI);
+    if (std::abs(angle) < 1e-12) return;
+    Operation rz = make(OpKind::RZ, {q}, {angle});
+    rz.cond_reg = op.cond_reg;
+    rz.cond_val = op.cond_val;
+    out.append(std::move(rz));
+  };
+  const auto push_sx = [&] {
+    Operation sx = make(OpKind::SX, {q});
+    sx.cond_reg = op.cond_reg;
+    sx.cond_val = op.cond_val;
+    out.append(std::move(sx));
+  };
+  const EulerAngles e = detail::euler_angles(op.kind, op.params);
+  if (std::abs(std::remainder(e.theta, 2 * PI)) < 1e-12) {
+    push_rz(e.phi + e.lambda);  // diagonal gate
+    return;
+  }
+  push_rz(e.lambda);
+  push_sx();
+  push_rz(e.theta + PI);
+  push_sx();
+  push_rz(e.phi + PI);
+}
+
 }  // namespace
 
-QuantumCircuit DecomposeMultiQubit::run(const QuantumCircuit& circuit) const {
+QuantumCircuit DecomposeMultiQubit::run(QuantumCircuit circuit) const {
   QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
-  for (const auto& op : circuit.ops()) {
-    std::vector<Operation> pieces;
+  std::vector<Operation> pieces;
+  for (auto& op : circuit.ops()) {
+    const int cond_reg = op.cond_reg;
+    const std::uint64_t cond_val = op.cond_val;
+    pieces.clear();
     expand(op, pieces);
     for (auto& piece : pieces) {
-      piece.cond_reg = op.cond_reg;
-      piece.cond_val = op.cond_val;
+      piece.cond_reg = cond_reg;
+      piece.cond_val = cond_val;
       out.append(std::move(piece));
     }
   }
   return out;
 }
 
-QuantumCircuit RewriteToUBasis::run(const QuantumCircuit& circuit) const {
+QuantumCircuit RewriteToUBasis::run(QuantumCircuit circuit) const {
   QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
-  for (const auto& op : circuit.ops()) {
+  for (auto& op : circuit.ops()) {
     if (!op_is_unitary(op.kind) || op.kind == OpKind::CX ||
         op.kind == OpKind::U || op.kind == OpKind::P || op.kind == OpKind::U2 ||
         op.kind == OpKind::I) {
-      out.append(op);
+      out.append(std::move(op));
       continue;
     }
     if (op.qubits.size() != 1)
       throw std::invalid_argument(
           "rewrite-u-basis: run decompose-multi-qubit first (found " +
           std::string(op_name(op.kind)) + ")");
-    const EulerAngles e = zyz_decompose(op_matrix(op.kind, op.params));
-    Operation u = op;
-    u.kind = OpKind::U;
-    u.params = {e.theta, e.phi, e.lambda};
-    out.append(std::move(u));
+    const EulerAngles e = detail::euler_angles(op.kind, op.params);
+    op.kind = OpKind::U;
+    op.params = {e.theta, e.phi, e.lambda};
+    out.append(std::move(op));
   }
   return out;
 }
 
-QuantumCircuit RewriteToEcrBasis::run(const QuantumCircuit& circuit) const {
+QuantumCircuit RewriteToEcrBasis::run(QuantumCircuit circuit) const {
   QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
-  for (const auto& op : circuit.ops()) {
+  for (auto& op : circuit.ops()) {
     if (op.kind == OpKind::CX) {
-      // CX(c, t) = e^{-i pi/4} [SX t][S c] ECR(c, t) [X c] (phase dropped).
-      // Direction-preserving: the ECR inherits the CX orientation, so this
-      // must run after FixCxDirections has legalized directions.
-      std::vector<Operation> pieces;
-      pieces.push_back(make(OpKind::X, {op.qubits[0]}));
-      pieces.push_back(make(OpKind::ECR, {op.qubits[0], op.qubits[1]}));
-      pieces.push_back(make(OpKind::S, {op.qubits[0]}));
-      pieces.push_back(make(OpKind::SX, {op.qubits[1]}));
-      for (auto& piece : pieces) {
-        piece.cond_reg = op.cond_reg;
-        piece.cond_val = op.cond_val;
-        out.append(std::move(piece));
-      }
+      expand_cx_to_ecr(std::move(op),
+                       [&](Operation piece) { out.append(std::move(piece)); });
       continue;
     }
-    if (op_is_unitary(op.kind) && op.qubits.size() > 1 &&
-        op.kind != OpKind::ECR)
-      throw std::invalid_argument(
-          "rewrite-ecr-basis: run decompose-multi-qubit first (found " +
-          std::string(op_name(op.kind)) + ")");
-    out.append(op);
+    check_ecr_input(op);
+    out.append(std::move(op));
   }
   return out;
 }
 
-QuantumCircuit RewriteToRzSxBasis::run(const QuantumCircuit& circuit) const {
+QuantumCircuit RewriteToRzSxBasis::run(QuantumCircuit circuit) const {
   QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
-  auto push_rz = [&](double angle, Qubit q, const Operation& like) {
-    angle = std::remainder(angle, 2 * PI);
-    if (std::abs(angle) < 1e-12) return;
-    Operation op;
-    op.kind = OpKind::RZ;
-    op.qubits = {q};
-    op.params = {angle};
-    op.cond_reg = like.cond_reg;
-    op.cond_val = like.cond_val;
-    out.append(std::move(op));
-  };
-  auto push_sx = [&](Qubit q, const Operation& like) {
-    Operation op;
-    op.kind = OpKind::SX;
-    op.qubits = {q};
-    op.cond_reg = like.cond_reg;
-    op.cond_val = like.cond_val;
-    out.append(std::move(op));
-  };
-  for (const auto& op : circuit.ops()) {
-    if (!op_is_unitary(op.kind) || op.kind == OpKind::CX ||
-        op.kind == OpKind::ECR || op.kind == OpKind::RZ ||
-        op.kind == OpKind::SX || op.kind == OpKind::I) {
-      out.append(op);
+  for (auto& op : circuit.ops()) append_rzsx(std::move(op), out);
+  return out;
+}
+
+QuantumCircuit RewriteToEcrRzSxBasis::run(QuantumCircuit circuit) const {
+  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  for (auto& op : circuit.ops()) {
+    if (op.kind == OpKind::CX) {
+      expand_cx_to_ecr(std::move(op), [&](Operation piece) {
+        append_rzsx(std::move(piece), out);
+      });
       continue;
     }
-    if (op.qubits.size() != 1)
-      throw std::invalid_argument(
-          "rewrite-rzsx-basis: run decompose-multi-qubit first (found " +
-          std::string(op_name(op.kind)) + ")");
-    const Qubit q = op.qubits[0];
-    const EulerAngles e = zyz_decompose(op_matrix(op.kind, op.params));
-    if (std::abs(std::remainder(e.theta, 2 * PI)) < 1e-12) {
-      // Diagonal gate: a single RZ (global phase dropped).
-      push_rz(e.phi + e.lambda, q, op);
-      continue;
-    }
-    // U(theta, phi, lambda) ~ RZ(phi + pi) SX RZ(theta + pi) SX RZ(lambda).
-    push_rz(e.lambda, q, op);
-    push_sx(q, op);
-    push_rz(e.theta + PI, q, op);
-    push_sx(q, op);
-    push_rz(e.phi + PI, q, op);
+    check_ecr_input(op);
+    append_rzsx(std::move(op), out);
   }
   return out;
 }
+
+namespace detail {
+
+EulerAngles euler_angles(OpKind kind, const std::vector<double>& params) {
+  constexpr std::size_t kKinds = static_cast<std::size_t>(OpKind::ECR) + 1;
+  struct Table {
+    std::array<EulerAngles, kKinds> angles{};
+    std::array<bool, kKinds> fixed{};
+  };
+  static const Table table = [] {
+    Table t;
+    for (std::size_t k = 0; k < kKinds; ++k) {
+      const auto kind = static_cast<OpKind>(k);
+      if (!op_is_unitary(kind) || op_num_qubits(kind) != 1 ||
+          op_num_params(kind) != 0)
+        continue;
+      t.angles[k] = zyz_decompose(op_matrix(kind));
+      t.fixed[k] = true;
+    }
+    return t;
+  }();
+  const auto k = static_cast<std::size_t>(kind);
+  if (k < kKinds && table.fixed[k] && params.empty()) return table.angles[k];
+  return zyz_decompose(op_matrix(kind, params));
+}
+
+}  // namespace detail
 
 }  // namespace qtc::transpiler

@@ -15,7 +15,7 @@ namespace qtc::transpiler {
 class DecomposeMultiQubit final : public Pass {
  public:
   std::string name() const override { return "decompose-multi-qubit"; }
-  QuantumCircuit run(const QuantumCircuit& circuit) const override;
+  QuantumCircuit run(QuantumCircuit circuit) const override;
 };
 
 /// Rewrites every remaining 1q gate into the QX-native U(theta,phi,lambda)
@@ -24,7 +24,7 @@ class DecomposeMultiQubit final : public Pass {
 class RewriteToUBasis final : public Pass {
  public:
   std::string name() const override { return "rewrite-u-basis"; }
-  QuantumCircuit run(const QuantumCircuit& circuit) const override;
+  QuantumCircuit run(QuantumCircuit circuit) const override;
 };
 
 /// Rewrites CX into the directed native ECR of modern heavy-hex devices:
@@ -35,7 +35,7 @@ class RewriteToUBasis final : public Pass {
 class RewriteToEcrBasis final : public Pass {
  public:
   std::string name() const override { return "rewrite-ecr-basis"; }
-  QuantumCircuit run(const QuantumCircuit& circuit) const override;
+  QuantumCircuit run(QuantumCircuit circuit) const override;
 };
 
 /// Rewrites every 1q gate into the modern IBM basis {RZ, SX} via
@@ -46,7 +46,25 @@ class RewriteToEcrBasis final : public Pass {
 class RewriteToRzSxBasis final : public Pass {
  public:
   std::string name() const override { return "rewrite-rzsx-basis"; }
-  QuantumCircuit run(const QuantumCircuit& circuit) const override;
+  QuantumCircuit run(QuantumCircuit circuit) const override;
 };
+
+/// RewriteToEcrBasis followed by RewriteToRzSxBasis in one sweep: the same
+/// circuit op for op, without building the intermediate ECR-basis circuit.
+/// finish_pipeline lowers to ECR/RZ/SX devices with it.
+class RewriteToEcrRzSxBasis final : public Pass {
+ public:
+  std::string name() const override { return "rewrite-ecr-rzsx-basis"; }
+  QuantumCircuit run(QuantumCircuit circuit) const override;
+};
+
+namespace detail {
+
+/// ZYZ Euler angles of a 1q gate, zyz_decompose(op_matrix(kind, params)).
+/// The parameter-free kinds read a table built once with exactly that call,
+/// so every value is bitwise what the decomposition returns.
+EulerAngles euler_angles(OpKind kind, const std::vector<double>& params);
+
+}  // namespace detail
 
 }  // namespace qtc::transpiler

@@ -13,15 +13,19 @@ namespace qtc::transpiler {
 ///   CX(a, b) = (H a)(H b) CX(b, a) (H a)(H b).
 /// Requires the circuit to already be routed (both orientations missing is
 /// an error). Only CX is handled; run decomposition first.
+/// The pass holds a non-owning reference to `coupling` (a device's map
+/// carries dense distance tables, too big to copy per transpile), so the
+/// map must outlive the pass; temporaries are rejected at compile time.
 class FixCxDirections final : public Pass {
  public:
-  explicit FixCxDirections(arch::CouplingMap coupling)
-      : coupling_(std::move(coupling)) {}
+  explicit FixCxDirections(const arch::CouplingMap& coupling)
+      : coupling_(coupling) {}
+  explicit FixCxDirections(arch::CouplingMap&&) = delete;
   std::string name() const override { return "fix-cx-directions"; }
-  QuantumCircuit run(const QuantumCircuit& circuit) const override;
+  QuantumCircuit run(QuantumCircuit circuit) const override;
 
  private:
-  arch::CouplingMap coupling_;
+  const arch::CouplingMap& coupling_;
 };
 
 /// True when every multi-qubit gate is a CX on a native directed edge (the

@@ -13,7 +13,7 @@ namespace qtc::transpiler {
 class GateCancellation final : public Pass {
  public:
   std::string name() const override { return "gate-cancellation"; }
-  QuantumCircuit run(const QuantumCircuit& circuit) const override;
+  QuantumCircuit run(QuantumCircuit circuit) const override;
 };
 
 /// Fuses maximal runs of single-qubit gates on each qubit into one
@@ -22,7 +22,18 @@ class GateCancellation final : public Pass {
 class FuseSingleQubitGates final : public Pass {
  public:
   std::string name() const override { return "fuse-1q-gates"; }
-  QuantumCircuit run(const QuantumCircuit& circuit) const override;
+  QuantumCircuit run(QuantumCircuit circuit) const override;
 };
+
+namespace detail {
+
+/// True when `op` is the inverse of `prev` as op_inverse(prev.kind,
+/// prev.params) states it: the inverse kind, with every parameter within
+/// 1e-12 of the inverse's (a NaN difference counts as within). Allocation
+/// free. False for ISWAP and non-unitary `prev`, which GateCancellation
+/// never pairs. Qubit operands are not compared.
+bool is_inverse_of(const Operation& prev, const Operation& op);
+
+}  // namespace detail
 
 }  // namespace qtc::transpiler

@@ -3,9 +3,15 @@
 // pipelines, mirroring Terra's transpiler described in the paper's Sec. III
 // ("letting the transpiler find a more optimized circuit while maintaining
 // the exact functionality prescribed by the user").
+//
+// A pass takes its input circuit by value and returns the rewritten circuit.
+// Pipelines std::move the circuit from pass to pass, so one op vector flows
+// through them and every op a pass keeps unchanged is moved, not copied; a
+// caller that keeps its own circuit passes an lvalue and pays one copy.
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/circuit.hpp"
@@ -16,7 +22,7 @@ class Pass {
  public:
   virtual ~Pass() = default;
   virtual std::string name() const = 0;
-  virtual QuantumCircuit run(const QuantumCircuit& circuit) const = 0;
+  virtual QuantumCircuit run(QuantumCircuit circuit) const = 0;
 };
 
 class PassManager {
@@ -30,10 +36,9 @@ class PassManager {
     return append(std::make_unique<P>(std::forward<Args>(args)...));
   }
 
-  QuantumCircuit run(const QuantumCircuit& circuit) const {
-    QuantumCircuit current = circuit;
-    for (const auto& pass : passes_) current = pass->run(current);
-    return current;
+  QuantumCircuit run(QuantumCircuit circuit) const {
+    for (const auto& pass : passes_) circuit = pass->run(std::move(circuit));
+    return circuit;
   }
 
   std::vector<std::string> pass_names() const {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "transpiler/commutative.hpp"
 #include "transpiler/decompose.hpp"
@@ -51,30 +52,31 @@ std::unique_ptr<map::Mapper> make_mapper(const TranspileOptions& options,
 QuantumCircuit finish_pipeline(QuantumCircuit routed, bool had_swaps,
                                const arch::Backend& backend,
                                const TranspileOptions& options) {
+  // One circuit moves through every pass; no pass copies an op it keeps.
   // Inserted SWAPs become CXs; when the mapper inserted none the routed
   // circuit is already in the {1q, CX} basis and the pass would be an
   // op-for-op identity, so skip it. Wrong-way CXs get the 4-H conjugation.
   QuantumCircuit current = std::move(routed);
-  if (had_swaps) current = DecomposeMultiQubit().run(current);
-  current = FixCxDirections(backend.coupling_map()).run(current);
+  if (had_swaps) current = DecomposeMultiQubit().run(std::move(current));
+  current = FixCxDirections(backend.coupling_map()).run(std::move(current));
 
   if (options.optimization_level >= 1)
-    current = GateCancellation().run(current);
+    current = GateCancellation().run(std::move(current));
   if (options.optimization_level >= 2) {
-    current = CommutativeCancellation().run(current);
-    current = FuseSingleQubitGates().run(current);
-    current = GateCancellation().run(current);
+    current = CommutativeCancellation().run(std::move(current));
+    current = FuseSingleQubitGates().run(std::move(current));
+    current = GateCancellation().run(std::move(current));
   }
   if (backend.basis() == arch::BasisSet::EcrRzSx) {
     // Directions are legal by now, so the direction-preserving CX -> ECR
     // rewrite lands every ECR on a native edge; the 1q tail then lowers to
-    // {RZ, SX}. to_u_basis is meaningless for these devices and ignored.
-    current = RewriteToEcrBasis().run(current);
-    current = RewriteToRzSxBasis().run(current);
+    // {RZ, SX}, in the same sweep. to_u_basis is meaningless for these
+    // devices and ignored.
+    current = RewriteToEcrRzSxBasis().run(std::move(current));
     if (options.optimization_level >= 1)
-      current = GateCancellation().run(current);
+      current = GateCancellation().run(std::move(current));
   } else if (options.to_u_basis) {
-    current = RewriteToUBasis().run(current);
+    current = RewriteToUBasis().run(std::move(current));
   }
 
   if (!satisfies_coupling(current, backend.coupling_map()))

@@ -193,7 +193,8 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
   const std::uint64_t chash = calibration_fingerprint(backend, opts);
 
   // Lookup under the lock; copy the winning entry's template out so the
-  // replay (and any cold run) happens without holding it.
+  // replay (and any cold run) happens without holding it. The replay then
+  // moves its routed copy through finish_pipeline.
   bool have_template = false;
   Entry tmpl;
   {
@@ -217,7 +218,14 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
           r.mapper_trials = 0;
           return r;
         }
-        tmpl = e;
+        // Only what the replay reads: not the cold input or finished result.
+        tmpl.lowered = e.lowered;
+        tmpl.routed = e.routed;
+        tmpl.source_index = e.source_index;
+        tmpl.initial = e.initial;
+        tmpl.final_layout = e.final_layout;
+        tmpl.swaps = e.swaps;
+        tmpl.best_trial = e.best_trial;
         have_template = true;
         break;
       }
@@ -229,7 +237,7 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
     // Decomposition can be angle-dependent (near-zero rotations vanish in
     // the controlled-unitary ABC network), so re-verify before replaying.
     if (same_structure(lowered, tmpl.lowered)) {
-      QuantumCircuit routed = tmpl.routed;
+      QuantumCircuit routed = std::move(tmpl.routed);
       auto& rops = routed.ops();
       const auto& lops = lowered.ops();
       for (std::size_t k = 0; k < rops.size(); ++k) {
@@ -239,8 +247,8 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
       TranspileResult r;
       r.circuit = detail::finish_pipeline(std::move(routed), tmpl.swaps > 0,
                                           backend, opts);
-      r.initial_layout = tmpl.initial;
-      r.final_layout = tmpl.final_layout;
+      r.initial_layout = std::move(tmpl.initial);
+      r.final_layout = std::move(tmpl.final_layout);
       r.swaps_inserted = tmpl.swaps;
       r.mapper_trials = 0;
       r.best_trial = tmpl.best_trial;

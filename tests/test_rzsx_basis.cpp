@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -129,6 +133,54 @@ TEST(RzSxBasis, RandomCircuitsStayEquivalent) {
     const QuantumCircuit basis = RewriteToRzSxBasis().run(qc);
     EXPECT_TRUE(only_basis_gates(basis));
     expect_equivalent(qc, basis);
+  }
+}
+
+TEST(EcrRzSxBasis, OneSweepEqualsTheTwoPasses) {
+  // Every 1q kind, CX (plain and conditioned), measures, barriers and
+  // resets: the fused lowering must emit RewriteToRzSxBasis(
+  // RewriteToEcrBasis(c)) exactly, parameters compared as doubles.
+  const std::vector<OpKind> one_q = {
+      OpKind::I,  OpKind::X,   OpKind::Y,    OpKind::Z,  OpKind::H,
+      OpKind::S,  OpKind::Sdg, OpKind::T,    OpKind::Tdg, OpKind::SX,
+      OpKind::SXdg, OpKind::RX, OpKind::RY,  OpKind::RZ, OpKind::P,
+      OpKind::U2, OpKind::U};
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    QuantumCircuit qc(4, 2);
+    for (int g = 0; g < 60; ++g) {
+      const int q = static_cast<int>(rng.index(4));
+      switch (rng.index(6)) {
+        case 0:
+          qc.cx(q, (q + 1) % 4);
+          if (rng.index(3) == 0) qc.c_if(0, rng.index(4));
+          break;
+        case 1: qc.measure(q, static_cast<int>(rng.index(2))); break;
+        case 2: qc.barrier({q, (q + 2) % 4}); break;
+        case 3: qc.ecr(q, (q + 3) % 4); break;
+        default: {
+          const OpKind kind = one_q[rng.index(one_q.size())];
+          std::vector<double> params;
+          for (int p = 0; p < op_num_params(kind); ++p)
+            params.push_back(rng.index(4) == 0 ? 0.0 : rng.uniform(-PI, PI));
+          qc.gate(kind, {q}, params);
+          if (rng.index(5) == 0) qc.c_if(0, rng.index(4));
+        }
+      }
+    }
+    const QuantumCircuit two_pass =
+        RewriteToRzSxBasis().run(RewriteToEcrBasis().run(qc));
+    const QuantumCircuit fused = RewriteToEcrRzSxBasis().run(qc);
+    EXPECT_TRUE(fused == two_pass) << "trial " << trial;
+  }
+  QuantumCircuit multi(3);
+  multi.h(0).cz(0, 1);
+  try {
+    RewriteToEcrRzSxBasis().run(multi);
+    ADD_FAILURE() << "CZ was not rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("rewrite-ecr-basis"),
+              std::string::npos);
   }
 }
 

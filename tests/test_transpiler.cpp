@@ -238,14 +238,16 @@ TEST(Fuse, PreservesRandomCircuits) {
 TEST(Direction, NativeOrientationUntouched) {
   QuantumCircuit qc(5);
   qc.cx(3, 2);  // native on QX4
-  const QuantumCircuit fixed = FixCxDirections(arch::ibm_qx4()).run(qc);
+  const arch::CouplingMap qx4 = arch::ibm_qx4();
+  const QuantumCircuit fixed = FixCxDirections(qx4).run(qc);
   EXPECT_EQ(fixed.size(), 1u);
 }
 
 TEST(Direction, WrongWayCxGetsFourHadamards) {
   QuantumCircuit qc(5);
   qc.cx(2, 3);  // only 3 -> 2 is native on QX4
-  const QuantumCircuit fixed = FixCxDirections(arch::ibm_qx4()).run(qc);
+  const arch::CouplingMap qx4 = arch::ibm_qx4();
+  const QuantumCircuit fixed = FixCxDirections(qx4).run(qc);
   EXPECT_EQ(fixed.count(OpKind::H), 4);
   EXPECT_EQ(fixed.count(OpKind::CX), 1);
   EXPECT_EQ(fixed.ops()[2].qubits, (std::vector<Qubit>{3, 2}));
@@ -256,7 +258,8 @@ TEST(Direction, WrongWayCxGetsFourHadamards) {
 TEST(Direction, UncoupledPairThrows) {
   QuantumCircuit qc(5);
   qc.cx(0, 4);
-  EXPECT_THROW(FixCxDirections(arch::ibm_qx4()).run(qc),
+  const arch::CouplingMap qx4 = arch::ibm_qx4();
+  EXPECT_THROW(FixCxDirections(qx4).run(qc),
                std::invalid_argument);
 }
 
