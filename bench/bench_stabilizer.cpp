@@ -1,17 +1,11 @@
 // Stabilizer-engine benchmark: bit-packed word-parallel tableau with
-// tableau-once shot sampling vs the legacy byte-per-bit engine.
+// tableau-once shot sampling.
 //
 // The artifact (stderr) is a workload table — GHZ chains, randomized-
 // benchmarking-style Clifford layer sweeps, and repetition-code syndrome
-// cycles (mid-circuit ancilla measure + reset) — timing the legacy byte
-// engine against the packed engine end to end through
-// StabilizerSimulator::run. Both paths produce bitwise-identical counts for
-// a fixed seed, so every speedup row is a pure like-for-like comparison.
-// Workloads where the byte engine would run for minutes are timed at a
-// reduced shot count and linearly extrapolated (marked *): the byte engine
-// re-simulates the tableau per shot, so its cost is linear in shots by
-// construction. A final section shows tableau-once amortization: packed
-// shots=1 vs shots=4096 on the same circuit.
+// cycles (mid-circuit ancilla measure + reset) — timing the engine end to
+// end through StabilizerSimulator::run. A final section shows tableau-once
+// amortization: shots=1 vs shots=4096 on the same circuit.
 //
 //   ./bench_stabilizer --benchmark_format=json > BENCH_stabilizer.json
 // is how CI tracks the engine trajectory; stdout stays machine-readable.
@@ -81,10 +75,8 @@ QuantumCircuit repetition_syndrome_circuit(int distance, int cycles) {
 }
 
 /// End-to-end StabilizerSimulator::run wall time in ms (best-effort mean of
-/// `reps` timed runs after one warm-up), on the packed (1) or byte (0) path.
-double time_run_ms(const QuantumCircuit& qc, int shots, int packed,
-                   int reps = 2) {
-  sim::set_stab_packed(packed);
+/// `reps` timed runs after one warm-up).
+double time_run_ms(const QuantumCircuit& qc, int shots, int reps = 2) {
   sim::StabilizerSimulator simulator(0xBE7C5);
   auto warm = simulator.run(qc, shots);
   benchmark::DoNotOptimize(warm);
@@ -94,7 +86,6 @@ double time_run_ms(const QuantumCircuit& qc, int shots, int packed,
     benchmark::DoNotOptimize(counts);
   }
   const auto t1 = std::chrono::steady_clock::now();
-  sim::set_stab_packed(-1);
   return std::chrono::duration<double, std::milli>(t1 - t0).count() / reps;
 }
 
@@ -102,48 +93,33 @@ struct Workload {
   const char* name;
   QuantumCircuit circuit;
   int shots;
-  int byte_shots;  // byte path timed at this count, extrapolated to `shots`
 };
 
 void print_artifact() {
   std::fprintf(stderr,
                "Stabilizer engine: packed word-parallel tableau + "
-               "tableau-once sampling vs legacy byte engine\n");
-  std::fprintf(stderr, "  %-30s %7s %11s %11s %9s\n", "workload", "shots",
-               "byte ms", "packed ms", "speedup");
+               "tableau-once sampling\n");
+  std::fprintf(stderr, "  %-30s %7s %11s\n", "workload", "shots", "ms");
 
   const Workload workloads[] = {
-      // The acceptance row: >= 100 qubits, >= 1024 shots, both engines
-      // timed at the full shot count.
-      {"ghz n=100", ghz_circuit(100), 1024, 1024},
-      {"ghz n=1000", ghz_circuit(1000), 4096, 8},
-      {"rb n=64 depth=24", rb_circuit(64, 24, 7), 1024, 1024},
-      {"rb n=256 depth=8", rb_circuit(256, 8, 8), 1024, 32},
-      {"rb n=256 depth=32", rb_circuit(256, 32, 9), 1024, 32},
-      {"repetition d=11 cycles=10", repetition_syndrome_circuit(11, 10), 1024,
-       1024},
+      {"ghz n=100", ghz_circuit(100), 1024},
+      {"ghz n=1000", ghz_circuit(1000), 4096},
+      {"rb n=64 depth=24", rb_circuit(64, 24, 7), 1024},
+      {"rb n=256 depth=8", rb_circuit(256, 8, 8), 1024},
+      {"rb n=256 depth=32", rb_circuit(256, 32, 9), 1024},
+      {"repetition d=11 cycles=10", repetition_syndrome_circuit(11, 10), 1024},
   };
-  for (const Workload& w : workloads) {
-    const double packed_ms = time_run_ms(w.circuit, w.shots, /*packed=*/1);
-    double byte_ms = time_run_ms(w.circuit, w.byte_shots, /*packed=*/0);
-    const bool extrapolated = w.byte_shots != w.shots;
-    if (extrapolated)
-      byte_ms *= static_cast<double>(w.shots) / w.byte_shots;
-    std::fprintf(stderr, "  %-30s %7d %10.2f%s %11.2f %8.1fx\n", w.name,
-                 w.shots, byte_ms, extrapolated ? "*" : " ", packed_ms,
-                 byte_ms / packed_ms);
-  }
-  std::fprintf(stderr,
-               "  (* byte path timed at a reduced shot count and linearly "
-               "extrapolated — its cost is per-shot by construction)\n");
+  for (const Workload& w : workloads)
+    std::fprintf(stderr, "  %-30s %7d %11.2f\n", w.name, w.shots,
+                 time_run_ms(w.circuit, w.shots));
 
   // Tableau-once amortization: the symbolic pass dominates, extra shots only
   // pay for coin flips and key assembly.
   const QuantumCircuit amort = ghz_circuit(1000);
-  const double one_shot = time_run_ms(amort, 1, /*packed=*/1);
-  const double many_shots = time_run_ms(amort, 4096, /*packed=*/1);
+  const double one_shot = time_run_ms(amort, 1);
+  const double many_shots = time_run_ms(amort, 4096);
   std::fprintf(stderr,
-               "  amortization (packed, ghz n=1000): shots=1 %.2f ms, "
+               "  amortization (ghz n=1000): shots=1 %.2f ms, "
                "shots=4096 %.2f ms (%.3f ms/shot marginal)\n",
                one_shot, many_shots, (many_shots - one_shot) / 4095.0);
 }
@@ -153,33 +129,27 @@ void print_artifact() {
 void BM_StabilizerGhz(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int shots = static_cast<int>(state.range(1));
-  const int packed = static_cast<int>(state.range(2));
   const QuantumCircuit qc = ghz_circuit(n);
-  sim::set_stab_packed(packed);
   sim::StabilizerSimulator simulator(0xBE7C5);
   for (auto _ : state) {
     auto counts = simulator.run(qc, shots);
     benchmark::DoNotOptimize(counts);
   }
-  sim::set_stab_packed(-1);
 }
 BENCHMARK(BM_StabilizerGhz)
-    ->Args({100, 1024, 1})
-    ->Args({100, 1024, 0})
-    ->Args({1000, 4096, 1})
+    ->Args({100, 1024})
+    ->Args({1000, 4096})
     ->Unit(benchmark::kMillisecond);
 
 void BM_StabilizerRb(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const QuantumCircuit qc = rb_circuit(n, depth, 7);
-  sim::set_stab_packed(1);
   sim::StabilizerSimulator simulator(0xBE7C5);
   for (auto _ : state) {
     auto counts = simulator.run(qc, 1024);
     benchmark::DoNotOptimize(counts);
   }
-  sim::set_stab_packed(-1);
 }
 BENCHMARK(BM_StabilizerRb)
     ->Args({64, 24})
@@ -191,13 +161,11 @@ void BM_StabilizerSyndrome(benchmark::State& state) {
   const int distance = static_cast<int>(state.range(0));
   const int cycles = static_cast<int>(state.range(1));
   const QuantumCircuit qc = repetition_syndrome_circuit(distance, cycles);
-  sim::set_stab_packed(1);
   sim::StabilizerSimulator simulator(0xBE7C5);
   for (auto _ : state) {
     auto counts = simulator.run(qc, 1024);
     benchmark::DoNotOptimize(counts);
   }
-  sim::set_stab_packed(-1);
 }
 BENCHMARK(BM_StabilizerSyndrome)
     ->Args({11, 10})

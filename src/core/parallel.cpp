@@ -3,31 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
+
+#include "core/knobs.hpp"
 
 namespace qtc::parallel {
 
 namespace {
 
-/// Programmatic override set by set_num_threads (0 = no override).
-std::atomic<int> g_thread_override{0};
-
 /// Depth of parallel regions on this thread; > 0 means "already inside a
 /// kernel", so nested parallel_for calls run inline instead of deadlocking
 /// the pool or oversubscribing the machine.
 thread_local int tls_region_depth = 0;
-
-int env_num_threads() {
-  const char* s = std::getenv("QTC_NUM_THREADS");
-  if (!s || !*s) return 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || v < 1) return 0;
-  return static_cast<int>(std::min<long>(v, 256));
-}
 
 using Body = std::function<void(std::uint64_t, std::uint64_t)>;
 
@@ -145,16 +134,17 @@ class Pool {
 }  // namespace
 
 int num_threads() {
-  const int forced = g_thread_override.load(std::memory_order_relaxed);
-  if (forced > 0) return forced;
-  const int from_env = env_num_threads();
-  if (from_env > 0) return from_env;
+  const auto configured = knobs::get(knobs::Knob::NumThreads);
+  if (configured > 0) return static_cast<int>(configured);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 void set_num_threads(int n) {
-  g_thread_override.store(std::max(n, 0), std::memory_order_relaxed);
+  if (n > 0)
+    knobs::set(knobs::Knob::NumThreads, n);
+  else
+    knobs::clear(knobs::Knob::NumThreads);
 }
 
 void parallel_for(std::uint64_t begin, std::uint64_t end, const Body& body,

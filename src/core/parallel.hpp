@@ -36,7 +36,8 @@ inline constexpr std::uint64_t kReduceBlock = std::uint64_t{1} << 14;
 /// QTC_NUM_THREADS environment variable, else std::thread::hardware_concurrency.
 int num_threads();
 
-/// Override the thread count (n >= 1); 0 restores the env/hardware default.
+/// Override the thread count (n >= 1, clamped to 256); 0 restores the
+/// env/hardware default.
 /// Takes effect on the next parallel call — used by tests and benchmarks to
 /// compare serial and parallel execution in one process.
 void set_num_threads(int n);

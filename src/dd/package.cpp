@@ -1,7 +1,6 @@
 #include "dd/package.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -10,16 +9,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/knobs.hpp"
+
 namespace qtc::dd {
 
 namespace {
-
-/// Live-node count above which the collector runs, unless overridden by
-/// QTC_DD_GC_THRESHOLD or set_gc_threshold.
-constexpr std::size_t kDefaultGcThreshold = 131072;
-
-/// Default log2 slot count of each compute table (QTC_DD_CT_BITS override).
-constexpr int kDefaultComputeTableBits = 15;
 
 /// Exact bit pattern of a weight component for unique-table/compute keys.
 /// Keys compare exactly — never by tolerance bucket — so a table hit returns
@@ -88,27 +82,6 @@ std::int64_t quantize_cell(double x) {
   return std::llround(x / kQuantum);
 }
 
-std::size_t env_gc_threshold() {
-  const char* s = std::getenv("QTC_DD_GC_THRESHOLD");
-  if (!s || !*s) return kDefaultGcThreshold;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  if (v == "0" || v == "off" || v == "false" || v == "no") return 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(s, &end, 10);
-  if (end == s) return kDefaultGcThreshold;
-  return static_cast<std::size_t>(parsed);
-}
-
-int env_compute_table_bits() {
-  const char* s = std::getenv("QTC_DD_CT_BITS");
-  if (!s || !*s) return kDefaultComputeTableBits;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s) return kDefaultComputeTableBits;
-  return static_cast<int>(std::clamp(v, 4L, 20L));
-}
-
 }  // namespace
 
 std::size_t Package::VKeyHash::operator()(const VKey& k) const {
@@ -144,10 +117,13 @@ std::size_t Package::BinKeyHash::operator()(const BinKey& k) const {
 Package::Package(int num_qubits, int compute_table_bits) : n_(num_qubits) {
   if (num_qubits <= 0 || num_qubits > 62)
     throw std::invalid_argument("dd::Package: unsupported qubit count");
-  gc_threshold_ = env_gc_threshold();
-  const int bits = compute_table_bits > 0
-                       ? std::clamp(compute_table_bits, 4, 20)
-                       : env_compute_table_bits();
+  // Live-node count above which the collector runs (0 = never), unless a
+  // caller overrides it with set_gc_threshold.
+  gc_threshold_ = knobs::get(knobs::Knob::DdGcThreshold);
+  const int bits =
+      compute_table_bits > 0
+          ? std::clamp(compute_table_bits, 4, 20)
+          : static_cast<int>(knobs::get(knobs::Knob::DdCtBits));
   add_cache_.init(bits, &stats_.add_table, &stats_);
   madd_cache_.init(bits, &stats_.madd_table, &stats_);
   mulv_cache_.init(bits, &stats_.mulv_table, &stats_);

@@ -129,7 +129,8 @@ struct PackageStats {
 class Package {
  public:
   /// `compute_table_bits` sets the log2 slot count of each compute table;
-  /// 0 reads QTC_DD_CT_BITS (default 15), clamped to [4, 20].
+  /// 0 reads QTC_DD_CT_BITS (default 15, range [4, 20]); an explicit value
+  /// is clamped to [4, 20].
   explicit Package(int num_qubits, int compute_table_bits = 0);
 
   int num_qubits() const { return n_; }

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
+#include "core/knobs.hpp"
 #include "map/router_detail.hpp"
 
 namespace qtc::map {
@@ -27,34 +24,14 @@ void note_mapper_run() {
 }  // namespace detail
 
 int default_map_trials() {
-  const char* s = std::getenv("QTC_MAP_TRIALS");
-  if (!s || !*s) return 4;
-  const long v = std::strtol(s, nullptr, 10);
-  if (v < 1) return 1;
-  if (v > 256) return 256;
-  return static_cast<int>(v);
+  return static_cast<int>(knobs::get(knobs::Knob::MapTrials));
 }
 
 std::uint64_t default_map_seed() {
-  const char* s = std::getenv("QTC_MAP_SEED");
-  if (!s || !*s) return 0xC0FFEE;
-  // Base 0 accepts decimal, 0x-hex and octal (QTC_MAP_SEED=0xBEEF used to
-  // parse as 0 under base 10). Trailing garbage or overflow falls back to
-  // the default instead of silently truncating, matching the other knobs.
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s, &end, 0);
-  if (end == s || *end != '\0' || errno == ERANGE) return 0xC0FFEE;
-  return v;
+  return knobs::get(knobs::Knob::MapSeed);
 }
 
-bool default_map_fidelity() {
-  const char* s = std::getenv("QTC_MAP_FIDELITY");
-  if (!s || !*s) return false;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
+bool default_map_fidelity() { return knobs::flag(knobs::Knob::MapFidelity); }
 
 double FidelityModel::pair_cost(const arch::CouplingMap& coupling, int a,
                                 int b) const {

@@ -1,13 +1,11 @@
 #include "noise/trajectory.hpp"
 
-#include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "core/knobs.hpp"
 #include "core/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/statevector.hpp"
@@ -15,18 +13,6 @@
 namespace qtc::noise {
 
 namespace {
-
-/// Programmatic override (mirroring sim::set_fusion_enabled): -1 means "no
-/// override, fall back to the environment".
-std::atomic<int> g_traj_parallel_override{-1};
-
-bool env_trajectory_parallel() {
-  const char* s = std::getenv("QTC_TRAJ_PARALLEL");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
 
 /// Stochastically apply one Kraus operator: candidate states K_k|psi> are
 /// selected with probability ||K_k psi||^2 and renormalized. `candidate` is
@@ -97,15 +83,13 @@ std::vector<int> compact_plan(TrajectoryPlan& plan) {
 
 }  // namespace
 
-bool trajectory_parallel() {
-  const int forced = g_traj_parallel_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return env_trajectory_parallel();
-}
+bool trajectory_parallel() { return knobs::flag(knobs::Knob::TrajParallel); }
 
 void set_trajectory_parallel(int enabled) {
-  g_traj_parallel_override.store(enabled < 0 ? -1 : (enabled != 0),
-                                 std::memory_order_relaxed);
+  if (enabled < 0)
+    knobs::clear(knobs::Knob::TrajParallel);
+  else
+    knobs::set(knobs::Knob::TrajParallel, enabled);
 }
 
 TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,

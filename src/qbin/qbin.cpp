@@ -1,10 +1,7 @@
 #include "qbin/qbin.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -522,16 +519,6 @@ QuantumCircuit decode_payload(Cursor& cur) {
   return circuit;
 }
 
-std::atomic<int> g_fingerprint_override{-1};
-
-bool env_fingerprint_enabled() {
-  const char* s = std::getenv("QTC_QBIN");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -671,17 +658,6 @@ std::uint64_t structural_digest(const std::uint8_t* data, std::size_t size) {
 
 std::uint64_t structural_digest(const Bytes& payload) {
   return structural_digest(payload.data(), payload.size());
-}
-
-bool fingerprint_enabled() {
-  const int o = g_fingerprint_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return env_fingerprint_enabled();
-}
-
-void set_fingerprint_enabled(int enabled) {
-  g_fingerprint_override.store(enabled < 0 ? -1 : (enabled ? 1 : 0),
-                               std::memory_order_relaxed);
 }
 
 }  // namespace qtc::qbin

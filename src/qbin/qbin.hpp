@@ -50,12 +50,6 @@
 // damage was detected. No input crashes, over-allocates, or silently
 // mis-parses; the fuzz suite (tests/test_qbin_fuzz.cpp) hammers exactly
 // this contract.
-//
-// Knob: QTC_QBIN (on by default; "0"/"off"/"false"/"no" disables) selects
-// whether transpiler::structural_cache_key fingerprints circuits through
-// the QBIN structural encoder or the legacy IR walk. Both are correct; the
-// knob exists for A/B measurement and as an escape hatch. Programmatic
-// override: set_fingerprint_enabled.
 
 #include <cstddef>
 #include <cstdint>
@@ -171,12 +165,5 @@ std::uint64_t structural_digest(const QuantumCircuit& circuit);
 /// the instruction stream. Throws DecodeError when the header is damaged.
 std::uint64_t structural_digest(const std::uint8_t* data, std::size_t size);
 std::uint64_t structural_digest(const Bytes& payload);
-
-/// Effective QTC_QBIN state: the programmatic override if set, else the
-/// environment, else on. Governs whether structural_cache_key fingerprints
-/// through the QBIN encoder (see transpiler/transpile_cache.hpp).
-bool fingerprint_enabled();
-/// Force the fingerprint fast path on (1) / off (0); -1 restores env/default.
-void set_fingerprint_enabled(int enabled);
 
 }  // namespace qtc::qbin

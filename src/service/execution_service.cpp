@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
+#include "core/knobs.hpp"
 #include "core/parallel.hpp"
 #include "transpiler/transpile_cache.hpp"
 
@@ -17,22 +17,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-int env_int(const char* name, int fallback, int lo, int hi) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || v < lo) return fallback;
-  return static_cast<int>(std::min<long>(v, hi));
-}
-
-bool env_flag(const char* name, bool fallback) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
-  const std::string v(s);
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
 }
 
 }  // namespace
@@ -56,18 +40,19 @@ const char* to_string(JobState state) {
 }
 
 int default_workers() {
-  return env_int("QTC_SERVICE_WORKERS", parallel::num_threads(), 1, 256);
+  const auto workers = knobs::get(knobs::Knob::ServiceWorkers);
+  return workers > 0 ? static_cast<int>(workers) : parallel::num_threads();
 }
 
 int default_queue_cap() {
-  return env_int("QTC_SERVICE_QUEUE_CAP", 64, 1, 1 << 20);
+  return static_cast<int>(knobs::get(knobs::Knob::ServiceQueueCap));
 }
 
 int default_results_cap() {
-  return env_int("QTC_SERVICE_RESULTS_CAP", 1024, 1, 1 << 24);
+  return static_cast<int>(knobs::get(knobs::Knob::ServiceResultsCap));
 }
 
-bool default_batching() { return env_flag("QTC_SERVICE_BATCH", true); }
+bool default_batching() { return knobs::flag(knobs::Knob::ServiceBatch); }
 
 /// What a job needs to run: owned copies of the caller's arguments. The
 /// noise model copy shares the caller's channels (reference counts only).
@@ -171,12 +156,9 @@ JobHandle ExecutionService::submit(const qbin::Bytes& payload,
       // are canonical, so this digest equals the digest of the decoded
       // circuit and payload jobs batch with circuit jobs; a hand-built
       // non-canonical (but valid) payload only costs itself the batch.
-      key = qbin::fingerprint_enabled()
-                ? transpiler::structural_cache_key_digest(
-                      qbin::structural_digest(payload), backend,
-                      options.transpile_options)
-                : transpiler::structural_cache_key(circuit, backend,
-                                                   options.transpile_options);
+      key = transpiler::structural_cache_key_digest(
+          qbin::structural_digest(payload), backend,
+          options.transpile_options);
     }
   } catch (const qbin::DecodeError& e) {
     return reject_now(tenant, std::string("invalid QBIN payload: ") +

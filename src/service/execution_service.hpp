@@ -127,10 +127,11 @@ struct ServiceConfig {
 };
 
 /// Resolved knob values (env var if set and valid, else the default).
-int default_workers();      // QTC_SERVICE_WORKERS, clamp [1, 256]
-int default_queue_cap();    // QTC_SERVICE_QUEUE_CAP, clamp >= 1, default 64
-int default_results_cap();  // QTC_SERVICE_RESULTS_CAP, clamp >= 1, dflt 1024
-bool default_batching();    // QTC_SERVICE_BATCH, "0"/"off"/"false"/"no" = off
+// Resolved through the knob table (core/knobs.hpp).
+int default_workers();      // QTC_SERVICE_WORKERS, [1, 256]
+int default_queue_cap();    // QTC_SERVICE_QUEUE_CAP, [1, 2^20], default 64
+int default_results_cap();  // QTC_SERVICE_RESULTS_CAP, [1, 2^24], dflt 1024
+bool default_batching();    // QTC_SERVICE_BATCH, default on
 
 class ExecutionService;
 
@@ -183,8 +184,7 @@ class ExecutionService {
   /// QASM entirely. The payload is decoded at submit time — a malformed
   /// payload is rejected synchronously with the DecodeError message as the
   /// reason, never enqueued. The batching key is read off the payload's
-  /// structural prefix without a second IR walk (when the QTC_QBIN
-  /// fingerprint path is on, the default), and matches the key of an
+  /// structural prefix without a second IR walk, and matches the key of an
   /// equivalent circuit submission, so payload-submitted and
   /// circuit-submitted jobs with the same structure batch together.
   JobHandle submit(const qbin::Bytes& payload, const arch::Backend& backend,

@@ -2,27 +2,15 @@
 
 #include <array>
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "core/gates.hpp"
+#include "core/knobs.hpp"
 #include "sim/stabilizer.hpp"
 
 namespace qtc::sim {
 
 namespace {
-
-std::atomic<int> g_enabled_override{-1};
-
-bool env_dispatch_enabled() {
-  const char* s = std::getenv("QTC_DISPATCH");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
 
 // The Clifford gate-set predicate is sim::is_clifford_kind (stabilizer.hpp)
 // — the same source of truth the tableau engine itself checks against, so a
@@ -53,14 +41,13 @@ const char* engine_name(Engine e) {
   return "statevector";
 }
 
-bool dispatch_enabled() {
-  const int forced = g_enabled_override.load(std::memory_order_relaxed);
-  return forced >= 0 ? forced != 0 : env_dispatch_enabled();
-}
+bool dispatch_enabled() { return knobs::flag(knobs::Knob::Dispatch); }
 
 void set_dispatch_enabled(int enabled) {
-  g_enabled_override.store(enabled < 0 ? -1 : (enabled != 0),
-                           std::memory_order_relaxed);
+  if (enabled < 0)
+    knobs::clear(knobs::Knob::Dispatch);
+  else
+    knobs::set(knobs::Knob::Dispatch, enabled);
 }
 
 CircuitProfile profile_circuit(const QuantumCircuit& circuit) {

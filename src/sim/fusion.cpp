@@ -1,13 +1,10 @@
 #include "sim/fusion.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "core/gates.hpp"
+#include "core/knobs.hpp"
 #include "sim/simd.hpp"
 #include "sim/statevector.hpp"
 
@@ -15,46 +12,13 @@ namespace qtc::sim {
 
 namespace {
 
-/// Programmatic overrides (mirroring parallel::set_num_threads): -1 / 0 mean
-/// "no override, fall back to the environment".
-std::atomic<int> g_enabled_override{-1};
-std::atomic<int> g_max_qubits_override{0};
-std::atomic<int> g_cost_model_override{-1};
-
 int clamp_max_qubits(int k) {
   return std::min(std::max(k, 1), kMaxFusionQubits);
 }
 
-bool env_fusion_enabled() {
-  const char* s = std::getenv("QTC_FUSION");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
-
-int env_fusion_max_qubits() {
-  const char* s = std::getenv("QTC_FUSION_MAX_QUBITS");
-  if (!s || !*s) return 3;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || v < 1) return 3;
-  return clamp_max_qubits(static_cast<int>(v));
-}
-
-int env_fusion_cost_model() {
-  const char* s = std::getenv("QTC_FUSION_COST");
-  if (!s || !*s) return -1;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  if (v == "scalar" || v == "0") return 0;
-  if (v == "simd" || v == "vector" || v == "1") return 1;
-  return -1;  // "auto" and anything unrecognized
-}
-
-/// Resolve the table a plan is judged with: explicit override, else the SIMD
-/// engine state — when the vector kernels will run the sweeps, their cost
-/// ratios are the ones that matter.
+/// Resolve the table a plan is judged with: the config's forced table, else
+/// the SIMD engine state — when the vector kernels will run the sweeps,
+/// their cost ratios are the ones that matter.
 bool use_vector_costs(const FusionConfig& cfg) {
   if (cfg.cost_model >= 0) return cfg.cost_model != 0;
   return simd::simd_enabled() && simd::vector_available();
@@ -311,29 +275,23 @@ void flush(Run& run, FusedCircuit& plan) {
 
 FusionConfig fusion_config() {
   FusionConfig cfg;
-  const int forced_enabled = g_enabled_override.load(std::memory_order_relaxed);
-  cfg.enabled = forced_enabled >= 0 ? forced_enabled != 0 : env_fusion_enabled();
-  const int forced_maxq = g_max_qubits_override.load(std::memory_order_relaxed);
-  cfg.max_qubits =
-      forced_maxq > 0 ? clamp_max_qubits(forced_maxq) : env_fusion_max_qubits();
-  const int forced_cost = g_cost_model_override.load(std::memory_order_relaxed);
-  cfg.cost_model = forced_cost >= 0 ? forced_cost : env_fusion_cost_model();
+  cfg.enabled = knobs::flag(knobs::Knob::Fusion);
+  cfg.max_qubits = static_cast<int>(knobs::get(knobs::Knob::FusionMaxQubits));
   return cfg;
 }
 
 void set_fusion_enabled(int enabled) {
-  g_enabled_override.store(enabled < 0 ? -1 : (enabled != 0),
-                           std::memory_order_relaxed);
+  if (enabled < 0)
+    knobs::clear(knobs::Knob::Fusion);
+  else
+    knobs::set(knobs::Knob::Fusion, enabled);
 }
 
 void set_fusion_max_qubits(int max_qubits) {
-  g_max_qubits_override.store(max_qubits <= 0 ? 0 : clamp_max_qubits(max_qubits),
-                              std::memory_order_relaxed);
-}
-
-void set_fusion_cost_model(int model) {
-  g_cost_model_override.store(model < 0 ? -1 : (model != 0),
-                              std::memory_order_relaxed);
+  if (max_qubits <= 0)
+    knobs::clear(knobs::Knob::FusionMaxQubits);
+  else
+    knobs::set(knobs::Knob::FusionMaxQubits, max_qubits);
 }
 
 FusedCircuit fuse_circuit(const QuantumCircuit& circuit) {

@@ -15,11 +15,8 @@
 //   QTC_FUSION            on by default; "0"/"off"/"false"/"no" disables
 //   QTC_FUSION_MAX_QUBITS qubit cap of a fused run, default 3, clamped to
 //                         [1, 6]
-//   QTC_FUSION_COST       cost table: "scalar", "simd"/"vector", or "auto"
-//                         (default) — auto follows the SIMD engine state
-// set_fusion_enabled / set_fusion_max_qubits / set_fusion_cost_model override
-// the environment programmatically (tests and benchmarks compare on/off in
-// one process).
+// set_fusion_enabled / set_fusion_max_qubits override the environment
+// programmatically (tests and benchmarks compare on/off in one process).
 //
 // Cost model: merge profitability is judged against the kernels that will
 // actually run. The vector kernels (sim/simd.*) compress the cheap sweeps
@@ -27,7 +24,8 @@
 // gather-heavy dense ones, so relative to a 1q sweep a dense merge is
 // *more* expensive under SIMD and some merges that pay off in scalar mode
 // lose. Two calibrated tables are kept and the planner picks by the active
-// engine (or the QTC_FUSION_COST override).
+// engine; FusionConfig::cost_model forces one for a single fuse_circuit
+// call.
 
 #include <cstdint>
 #include <vector>
@@ -53,16 +51,13 @@ struct FusionConfig {
 };
 
 /// Effective configuration: programmatic overrides win over the QTC_FUSION /
-/// QTC_FUSION_MAX_QUBITS / QTC_FUSION_COST environment variables, which win
-/// over the defaults.
+/// QTC_FUSION_MAX_QUBITS environment variables, which win over the
+/// defaults. cost_model stays -1 (auto).
 FusionConfig fusion_config();
 /// Force fusion on (1) / off (0); -1 restores the env/default behavior.
 void set_fusion_enabled(int enabled);
 /// Force the fused-run qubit cap (clamped to [1, 6]); 0 restores env/default.
 void set_fusion_max_qubits(int max_qubits);
-/// Force the cost table: vector-calibrated (1) / scalar (0); -1 restores the
-/// env/default (auto) behavior.
-void set_fusion_cost_model(int model);
 
 /// One step of a compiled plan: either a passthrough IR operation (measure,
 /// reset, anything classically conditioned — the executor's shot loop owns

@@ -1,12 +1,9 @@
 #include "sim/simd.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 
 #include "core/cpu_features.hpp"
+#include "core/knobs.hpp"
 
 // Build-time gate: -DQTC_DISABLE_SIMD strips every vector path (the CI
 // simd-off matrix job builds this way and runs the full suite against the
@@ -24,16 +21,6 @@
 namespace qtc::sim::simd {
 
 namespace {
-
-std::atomic<int> g_enabled_override{-1};
-
-bool env_simd_enabled() {
-  const char* s = std::getenv("QTC_SIMD");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
 
 /// Splice a 0 bit into `g` at the position of the set bit in `mask` (the
 /// canonical pair-loop index expansion; mirrors statevector.cpp).
@@ -491,14 +478,13 @@ const char* isa_name(Isa isa) {
 
 bool vector_available() { return best_isa() != Isa::Scalar; }
 
-bool simd_enabled() {
-  const int forced = g_enabled_override.load(std::memory_order_relaxed);
-  return forced >= 0 ? forced != 0 : env_simd_enabled();
-}
+bool simd_enabled() { return knobs::flag(knobs::Knob::Simd); }
 
 void set_simd_enabled(int enabled) {
-  g_enabled_override.store(enabled < 0 ? -1 : (enabled != 0),
-                           std::memory_order_relaxed);
+  if (enabled < 0)
+    knobs::clear(knobs::Knob::Simd);
+  else
+    knobs::set(knobs::Knob::Simd, enabled);
 }
 
 Isa select() { return simd_enabled() ? best_isa() : Isa::Scalar; }

@@ -1,10 +1,7 @@
 #include "sim/stabilizer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -41,158 +38,6 @@ bool is_clifford_circuit(const QuantumCircuit& circuit) {
     if (!is_clifford_kind(op.kind)) return false;
   }
   return true;
-}
-
-// --- legacy byte-per-bit tableau (differential oracle) -----------------------
-
-StabilizerState::StabilizerState(int num_qubits) : n_(num_qubits) {
-  if (num_qubits < 1 || num_qubits > 4096)
-    throw std::invalid_argument("stabilizer: unsupported qubit count");
-  const int rows = 2 * n_ + 1;  // + scratch row
-  x_.assign(rows, std::vector<std::uint8_t>(n_, 0));
-  z_.assign(rows, std::vector<std::uint8_t>(n_, 0));
-  r_.assign(rows, 0);
-  for (int i = 0; i < n_; ++i) {
-    x_[i][i] = 1;        // destabilizer X_i
-    z_[n_ + i][i] = 1;   // stabilizer Z_i
-  }
-}
-
-void StabilizerState::h(int q) {
-  for (int i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= x_[i][q] & z_[i][q];
-    std::swap(x_[i][q], z_[i][q]);
-  }
-}
-
-void StabilizerState::s(int q) {
-  for (int i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= x_[i][q] & z_[i][q];
-    z_[i][q] ^= x_[i][q];
-  }
-}
-
-void StabilizerState::cx(int control, int target) {
-  for (int i = 0; i < 2 * n_; ++i) {
-    r_[i] ^= x_[i][control] & z_[i][target] &
-             (x_[i][target] ^ z_[i][control] ^ 1);
-    x_[i][target] ^= x_[i][control];
-    z_[i][control] ^= z_[i][target];
-  }
-}
-
-void StabilizerState::apply(const Operation& op) {
-  const auto& q = op.qubits;
-  switch (op.kind) {
-    case OpKind::I:
-    case OpKind::Barrier:
-      return;
-    case OpKind::X:
-      return x(q[0]);
-    case OpKind::Y:
-      return y(q[0]);
-    case OpKind::Z:
-      return z(q[0]);
-    case OpKind::H:
-      return h(q[0]);
-    case OpKind::S:
-      return s(q[0]);
-    case OpKind::Sdg:
-      return sdg(q[0]);
-    case OpKind::SX:
-      return sx(q[0]);
-    case OpKind::SXdg:
-      return sxdg(q[0]);
-    case OpKind::CX:
-      return cx(q[0], q[1]);
-    case OpKind::CY:
-      return cy(q[0], q[1]);
-    case OpKind::CZ:
-      return cz(q[0], q[1]);
-    case OpKind::SWAP:
-      return swap(q[0], q[1]);
-    default:
-      throw std::invalid_argument(std::string("stabilizer: non-Clifford op ") +
-                                  op_name(op.kind));
-  }
-}
-
-int StabilizerState::g_exponent(int x1, int z1, int x2, int z2) const {
-  if (!x1 && !z1) return 0;
-  if (x1 && z1) return z2 - x2;
-  if (x1 && !z1) return z2 * (2 * x2 - 1);
-  return x2 * (1 - 2 * z2);
-}
-
-void StabilizerState::rowsum(int h, int i) {
-  int sum = 2 * r_[h] + 2 * r_[i];
-  for (int j = 0; j < n_; ++j)
-    sum += g_exponent(x_[i][j], z_[i][j], x_[h][j], z_[h][j]);
-  sum = ((sum % 4) + 4) % 4;
-  r_[h] = sum == 2 ? 1 : 0;
-  for (int j = 0; j < n_; ++j) {
-    x_[h][j] ^= x_[i][j];
-    z_[h][j] ^= z_[i][j];
-  }
-}
-
-bool StabilizerState::is_deterministic(int q) const {
-  for (int p = n_; p < 2 * n_; ++p)
-    if (x_[p][q]) return false;
-  return true;
-}
-
-int StabilizerState::measure(int q, Rng& rng) {
-  int p = -1;
-  for (int i = n_; i < 2 * n_; ++i)
-    if (x_[i][q]) {
-      p = i;
-      break;
-    }
-  if (p >= 0) {
-    // Random outcome: Z_q anticommutes with stabilizer p.
-    for (int i = 0; i < 2 * n_; ++i)
-      if (i != p && x_[i][q]) rowsum(i, p);
-    x_[p - n_] = x_[p];
-    z_[p - n_] = z_[p];
-    r_[p - n_] = r_[p];
-    std::fill(x_[p].begin(), x_[p].end(), 0);
-    std::fill(z_[p].begin(), z_[p].end(), 0);
-    z_[p][q] = 1;
-    r_[p] = rng.bernoulli(0.5) ? 1 : 0;
-    return r_[p];
-  }
-  // Deterministic outcome: accumulate into the scratch row.
-  const int scratch = 2 * n_;
-  std::fill(x_[scratch].begin(), x_[scratch].end(), 0);
-  std::fill(z_[scratch].begin(), z_[scratch].end(), 0);
-  r_[scratch] = 0;
-  for (int i = 0; i < n_; ++i)
-    if (x_[i][q]) rowsum(scratch, i + n_);
-  return r_[scratch];
-}
-
-void StabilizerState::reset(int q, Rng& rng) {
-  if (measure(q, rng) == 1) x(q);
-}
-
-std::vector<std::string> StabilizerState::stabilizer_strings() const {
-  std::vector<std::string> out;
-  for (int i = n_; i < 2 * n_; ++i) {
-    std::string s = r_[i] ? "-" : "+";
-    for (int q = n_ - 1; q >= 0; --q) {
-      if (x_[i][q] && z_[i][q])
-        s += 'Y';
-      else if (x_[i][q])
-        s += 'X';
-      else if (z_[i][q])
-        s += 'Z';
-      else
-        s += 'I';
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
 }
 
 // --- bit-packed word-parallel tableau ----------------------------------------
@@ -438,21 +283,10 @@ std::vector<std::string> PackedStabilizerState::stabilizer_strings() const {
 
 namespace {
 
-std::atomic<int> g_packed_override{-1};
-
-bool env_stab_packed() {
-  const char* s = std::getenv("QTC_STAB_PACKED");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
-
-/// One full tableau replay of the circuit — the per-shot body shared by the
-/// byte oracle and the packed conditional fallback.
-template <class State>
+/// One full tableau replay of the circuit: the per-shot body of the
+/// conditional fallback.
 std::string run_one_shot(const QuantumCircuit& circuit, Rng& rng) {
-  State state(circuit.num_qubits());
+  PackedStabilizerState state(circuit.num_qubits());
   std::vector<int> clbits(circuit.num_clbits(), 0);
   for (const auto& op : circuit.ops()) {
     if (op.conditioned()) {
@@ -475,7 +309,6 @@ std::string run_one_shot(const QuantumCircuit& circuit, Rng& rng) {
   return bits_key(clbits);
 }
 
-template <class State>
 Counts run_per_shot(const QuantumCircuit& circuit, std::uint64_t seed,
                     int shots) {
   std::vector<std::string> outcomes(static_cast<std::size_t>(shots));
@@ -484,7 +317,7 @@ Counts run_per_shot(const QuantumCircuit& circuit, std::uint64_t seed,
       [&](std::uint64_t s0, std::uint64_t s1) {
         for (std::uint64_t s = s0; s < s1; ++s) {
           Rng rng(derive_stream_seed(seed, s));
-          outcomes[s] = run_one_shot<State>(circuit, rng);
+          outcomes[s] = run_one_shot(circuit, rng);
         }
       },
       /*serial_cutoff=*/2);
@@ -497,7 +330,7 @@ Counts run_per_shot(const QuantumCircuit& circuit, std::uint64_t seed,
 /// then every shot just flips its seed-derived coins and replays the
 /// skeleton — no gates are re-simulated. Coins are consumed in the same
 /// program order (one bernoulli(0.5) per random collapse, resets included)
-/// as the per-shot paths, so counts are bitwise identical to them.
+/// as the per-shot path, so counts are bitwise identical to it.
 Counts run_tableau_once(const QuantumCircuit& circuit, std::uint64_t seed,
                         int shots) {
   PackedStabilizerState state(circuit.num_qubits());
@@ -549,27 +382,15 @@ Counts run_tableau_once(const QuantumCircuit& circuit, std::uint64_t seed,
 
 }  // namespace
 
-bool stab_packed_enabled() {
-  const int forced = g_packed_override.load(std::memory_order_relaxed);
-  return forced >= 0 ? forced != 0 : env_stab_packed();
-}
-
-void set_stab_packed(int enabled) {
-  g_packed_override.store(enabled < 0 ? -1 : (enabled != 0),
-                          std::memory_order_relaxed);
-}
-
 Counts StabilizerSimulator::run(const QuantumCircuit& circuit, int shots) {
   if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
   if (!is_clifford_circuit(circuit))
     throw std::invalid_argument("stabilizer: circuit is not Clifford");
-  if (!stab_packed_enabled())
-    return run_per_shot<StabilizerState>(circuit, seed_, shots);
   for (const auto& op : circuit.ops())
     if (op.conditioned())
       // Conditions read per-shot clbits, so which gates run varies by shot;
-      // replay the (packed) tableau per shot instead of sampling a skeleton.
-      return run_per_shot<PackedStabilizerState>(circuit, seed_, shots);
+      // replay the tableau per shot instead of sampling a skeleton.
+      return run_per_shot(circuit, seed_, shots);
   return run_tableau_once(circuit, seed_, shots);
 }
 

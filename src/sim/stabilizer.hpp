@@ -1,21 +1,19 @@
 #pragma once
-// Stabilizer (Clifford) simulators in the Aaronson-Gottesman tableau
+// Stabilizer (Clifford) simulator in the Aaronson-Gottesman tableau
 // formalism: polynomial-time simulation of Clifford circuits with
 // measurement, the third simulator flavour of an Aer-style portfolio
 // (alongside the array and decision-diagram engines). Scales to thousands of
 // qubits where the other engines cannot go, but only for the Clifford set.
 //
-// Two tableau representations live here:
-//   * StabilizerState — the legacy byte-per-bit CHP tableau. Kept as the
-//     differential oracle: after any gate sequence its stabilizer_strings()
-//     must match the packed engine bit for bit (an exact, RNG-free
-//     contract).
-//   * PackedStabilizerState — the production engine. Each row's x/z Pauli
-//     strings are bit-packed into uint64_t words (64 qubits per word, flat
-//     row-major storage, 64-byte aligned), so the rowsum phase accumulation
-//     runs as word-wide XOR/AND sweeps with a bit-sliced mod-4 popcount
-//     (sim/simd.hpp::stab_rowsum, AVX2 behind QTC_SIMD). Memory is 64x
-//     smaller than the byte tableau, which raises the qubit cap.
+// PackedStabilizerState bit-packs each row's x/z Pauli strings into uint64_t
+// words (64 qubits per word, flat row-major storage, 64-byte aligned), so
+// the rowsum phase accumulation runs as word-wide XOR/AND sweeps with a
+// bit-sliced mod-4 popcount (sim/simd.hpp::stab_rowsum, AVX2 behind
+// QTC_SIMD). Memory is 64x smaller than a byte-per-bit tableau. The
+// byte-per-bit CHP tableau it replaced lives on as a test-only oracle
+// (tests/reference_stabilizer.hpp): after any gate sequence the two must
+// agree on stabilizer_strings() bit for bit, and per-shot replay on it must
+// reproduce this engine's fixed-seed counts exactly.
 //
 // Shot sampling is tableau-once: StabilizerSimulator::run simulates the
 // circuit a single time, recording a measurement skeleton — which
@@ -25,12 +23,9 @@
 // skeleton, so shots are nearly free: O(gates x n/64 + shots x
 // measurements) instead of O(shots x gates x n). Classically-conditioned
 // circuits fall back to per-shot tableau replay (the condition changes which
-// gates run, which the one-pass skeleton cannot capture).
-//
-// Knob: QTC_STAB_PACKED (on by default; "0"/"off"/"false"/"no" runs every
-// shot on the legacy byte tableau). Counts are bitwise identical either way
-// for a fixed seed — both paths consume one coin per random measurement in
-// program order from the same seed-derived per-shot streams.
+// gates run, which the one-pass skeleton cannot capture). Both paths consume
+// one coin per random measurement in program order from the same
+// seed-derived per-shot streams, so their counts agree bit for bit.
 
 #include <cstdint>
 #include <string>
@@ -45,7 +40,7 @@ namespace qtc::sim {
 
 /// True when `kind` is in the tableau engines' Clifford gate set
 /// {I,X,Y,Z,H,S,Sdg,SX,SXdg,CX,CY,CZ,SWAP}. The single source of truth
-/// shared by is_clifford_circuit, StabilizerState::apply and the engine
+/// shared by is_clifford_circuit, PackedStabilizerState::apply and the engine
 /// dispatcher's circuit profile — a new Clifford opcode lands everywhere by
 /// extending this one predicate.
 bool is_clifford_kind(OpKind kind);
@@ -53,62 +48,10 @@ bool is_clifford_kind(OpKind kind);
 /// True when every unitary gate in the circuit satisfies is_clifford_kind.
 bool is_clifford_circuit(const QuantumCircuit& circuit);
 
-/// The CHP tableau over n qubits: n destabilizer rows then n stabilizer
-/// rows, each a Pauli string (x/z bit per qubit) with a sign bit. Legacy
-/// byte-per-bit layout — the packed engine's differential oracle.
-class StabilizerState {
- public:
-  explicit StabilizerState(int num_qubits);
-
-  int num_qubits() const { return n_; }
-
-  // Generators (exact phase tracking); everything else composes from these.
-  void h(int q);
-  void s(int q);
-  void cx(int control, int target);
-
-  // Derived Cliffords.
-  void sdg(int q) { s(q), s(q), s(q); }
-  void z(int q) { s(q), s(q); }
-  void x(int q) { h(q), z(q), h(q); }
-  void y(int q) { s(q), x(q), sdg(q); }
-  void sx(int q) { h(q), s(q), h(q); }       // up to global phase
-  void sxdg(int q) { h(q), sdg(q), h(q); }   // up to global phase
-  void cz(int control, int target) { h(target), cx(control, target), h(target); }
-  void cy(int control, int target) { sdg(target), cx(control, target), s(target); }
-  void swap(int a, int b) { cx(a, b), cx(b, a), cx(a, b); }
-
-  /// Apply a Clifford operation from the IR; throws on non-Clifford gates.
-  void apply(const Operation& op);
-
-  /// Projective measurement of qubit q in the Z basis.
-  int measure(int q, Rng& rng);
-  /// Measure; if 1, flip back to |0>.
-  void reset(int q, Rng& rng);
-
-  /// Expectation of a Z-basis outcome being deterministic: true if qubit q
-  /// has a definite value (no stabilizer anticommutes with Z_q).
-  bool is_deterministic(int q) const;
-
-  /// The stabilizer generators as strings like "+XXI" (highest qubit
-  /// leftmost), for inspection and tests.
-  std::vector<std::string> stabilizer_strings() const;
-
- private:
-  int g_exponent(int x1, int z1, int x2, int z2) const;
-  /// row[h] *= row[i] with phase bookkeeping (the AG "rowsum").
-  void rowsum(int h, int i);
-
-  int n_ = 0;
-  // Rows 0..n-1: destabilizers; n..2n-1: stabilizers; row 2n: scratch.
-  std::vector<std::vector<std::uint8_t>> x_, z_;
-  std::vector<std::uint8_t> r_;
-};
-
-/// Bit-packed word-parallel CHP tableau: same row structure and gate
-/// compositions as StabilizerState (so the two evolve bit-identically), but
-/// x/z strings are packed 64 qubits per uint64_t word and the rowsum phase
-/// sum runs word-wide. Beyond the concrete measure/reset API it offers a
+/// Bit-packed word-parallel CHP tableau: n destabilizer rows then n
+/// stabilizer rows (plus a scratch row), each a Pauli string with a sign
+/// bit, packed 64 qubits per uint64_t word; the rowsum phase sum runs
+/// word-wide. Beyond the concrete measure/reset API it offers a
 /// *symbolic* mode where each random measurement allocates a fresh coin
 /// variable and every row phase is tracked as an affine GF(2) function of
 /// the coins — the substrate of tableau-once shot sampling: Clifford gates
@@ -117,16 +60,17 @@ class StabilizerState {
 class PackedStabilizerState {
  public:
   /// Memory is n^2/2 bits per tableau half; 32768 qubits caps the state at
-  /// ~512 MiB (the byte engine's 4096-qubit cap held ~67 MiB — 64x denser
-  /// rows buy an 8x taller cap at equal memory).
+  /// ~512 MiB (a byte-per-bit tableau's 4096-qubit cap held ~67 MiB — 64x
+  /// denser rows buy an 8x taller cap at equal memory).
   static constexpr int kMaxQubits = 32768;
 
   explicit PackedStabilizerState(int num_qubits);
 
   int num_qubits() const { return n_; }
 
-  // Generators; derived Cliffords use the byte engine's exact compositions
-  // so generator sets (not just stabilizer groups) stay identical.
+  // Generators (exact phase tracking); everything else composes from these,
+  // in fixed compositions so generator sets (not just stabilizer groups)
+  // are reproducible.
   void h(int q);
   void s(int q);
   void cx(int control, int target);
@@ -215,12 +159,6 @@ class PackedStabilizerState {
   aligned_vector<std::uint64_t> x_, z_;
   aligned_vector<std::uint64_t> ph_;
 };
-
-/// Effective on/off of the packed engine: programmatic override wins over
-/// QTC_STAB_PACKED, which wins over the default (on).
-bool stab_packed_enabled();
-/// Force packed on (1) / byte legacy (0); -1 restores the env/default.
-void set_stab_packed(int enabled);
 
 /// Shot-based executor with full measure/reset/conditional support. Shots
 /// run on seed-derived per-shot RNG streams (core/rng.hpp::

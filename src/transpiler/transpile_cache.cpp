@@ -1,73 +1,25 @@
 #include "transpiler/transpile_cache.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <utility>
 
+#include "core/knobs.hpp"
 #include "qbin/qbin.hpp"
 
 namespace qtc::transpiler {
 
 namespace {
 
-/// FNV-1a over 64-bit words; enough to bucket structures, with full
-/// structural comparison behind it so collisions only cost a compare.
+/// FNV-1a over 64-bit words for the parameter, calibration and key
+/// fingerprints; full structural comparison sits behind every key, so
+/// collisions only cost a compare.
 struct Hasher {
   std::uint64_t h = 14695981039346656037ull;
   void mix(std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   }
-  void mix_str(const std::string& s) {
-    mix(s.size());
-    for (char c : s) mix(static_cast<unsigned char>(c));
-  }
 };
-
-void mix_registers(Hasher& h, const std::vector<Register>& regs) {
-  h.mix(regs.size());
-  for (const auto& r : regs) {
-    h.mix_str(r.name);
-    h.mix(static_cast<std::uint64_t>(r.size));
-    h.mix(static_cast<std::uint64_t>(r.offset));
-  }
-}
-
-/// Legacy structure-only fingerprint: an FNV walk over the IR, mixing
-/// everything except parameter values (their count is structural; a CU and
-/// a CX never collide). Kept as the QTC_QBIN=off fallback.
-std::uint64_t legacy_structural_hash(const QuantumCircuit& c) {
-  Hasher h;
-  h.mix(static_cast<std::uint64_t>(c.num_qubits()));
-  h.mix(static_cast<std::uint64_t>(c.num_clbits()));
-  mix_registers(h, c.qregs());
-  mix_registers(h, c.cregs());
-  h.mix(c.ops().size());
-  for (const auto& op : c.ops()) {
-    h.mix(static_cast<std::uint64_t>(op.kind));
-    h.mix(op.qubits.size());
-    for (Qubit q : op.qubits) h.mix(static_cast<std::uint64_t>(q));
-    h.mix(op.clbits.size());
-    for (Clbit cl : op.clbits) h.mix(static_cast<std::uint64_t>(cl));
-    h.mix(static_cast<std::uint64_t>(op.cond_reg + 1));
-    h.mix(op.cond_val);
-    h.mix(op.params.size());
-  }
-  return h.h;
-}
-
-/// Structure-only circuit fingerprint. The default path streams the QBIN
-/// structural encoder into a hash sink — byte-compatible with the digest
-/// read off an encoded payload, which is what lets the execution service
-/// batch pre-encoded QBIN submissions with circuit submissions without
-/// decoding. QTC_QBIN=0 falls back to the legacy IR walk (same contract,
-/// different hash values — the two never mix in one process run because
-/// every key computation goes through this switch).
-std::uint64_t structural_hash(const QuantumCircuit& c) {
-  if (qbin::fingerprint_enabled()) return qbin::structural_digest(c);
-  return legacy_structural_hash(c);
-}
 
 /// Parameter-only fingerprint (exact double bit patterns).
 std::uint64_t param_hash(const QuantumCircuit& c) {
@@ -152,16 +104,7 @@ std::uint64_t mix_key(std::uint64_t structural, const arch::Backend& backend,
 std::uint64_t cache_key(const QuantumCircuit& circuit,
                         const arch::Backend& backend,
                         const TranspileOptions& opts) {
-  return mix_key(structural_hash(circuit), backend, opts);
-}
-
-std::atomic<int> g_enabled_override{-1};
-
-bool env_enabled() {
-  const char* s = std::getenv("QTC_TRANSPILE_CACHE");
-  if (!s || !*s) return true;
-  const std::string v(s);
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
+  return mix_key(qbin::structural_digest(circuit), backend, opts);
 }
 
 }  // namespace
@@ -172,14 +115,14 @@ TranspileCache& TranspileCache::global() {
 }
 
 bool TranspileCache::enabled() {
-  const int o = g_enabled_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return env_enabled();
+  return knobs::flag(knobs::Knob::TranspileCache);
 }
 
 void TranspileCache::set_enabled(int enabled) {
-  g_enabled_override.store(enabled < 0 ? -1 : (enabled ? 1 : 0),
-                           std::memory_order_relaxed);
+  if (enabled < 0)
+    knobs::clear(knobs::Knob::TranspileCache);
+  else
+    knobs::set(knobs::Knob::TranspileCache, enabled);
 }
 
 TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,

@@ -24,9 +24,9 @@
 // disables the global cache used by exec::execute), programmatic override
 // TranspileCache::set_enabled. Explicitly constructed instances always work.
 // The cache is thread-safe and bounded (FIFO eviction past `capacity`).
-// The structural fingerprint itself is computed through the QBIN structural
-// encoder by default (one pass, no allocation, byte-compatible with encoded
-// payloads); QTC_QBIN=0 selects the legacy IR-walk hash (see qbin/qbin.hpp).
+// The structural fingerprint itself is qbin::structural_digest: the QBIN
+// structural encoder streamed into a hash (one pass, no allocation,
+// byte-compatible with encoded payloads; see qbin/qbin.hpp).
 
 #include <cstdint>
 #include <mutex>
@@ -127,8 +127,7 @@ std::uint64_t structural_cache_key(const QuantumCircuit& circuit,
 /// The same batching key computed from a circuit-structural fingerprint —
 /// as produced by qbin::structural_digest, either from a circuit or read
 /// straight off an encoded QBIN payload's structural prefix — instead of a
-/// circuit object. When the QBIN fingerprint path is enabled (QTC_QBIN,
-/// the default), structural_cache_key(c, ...) ==
+/// circuit object. structural_cache_key(c, ...) ==
 /// structural_cache_key_digest(qbin::structural_digest(c), ...), which is
 /// what lets the execution service batch pre-encoded payload submissions
 /// with circuit submissions without decoding the payload first.

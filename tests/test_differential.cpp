@@ -22,6 +22,7 @@
 #include "noise/noise_model.hpp"
 #include "noise/trajectory.hpp"
 #include "qbin/qbin.hpp"
+#include "reference_stabilizer.hpp"
 #include "service/execution_service.hpp"
 #include "sim/fusion.hpp"
 #include "sim/simd.hpp"
@@ -262,11 +263,8 @@ TEST(Differential, DynamicCliffordCircuitsAgreeAcrossStabilizerPathsAndArray) {
       // streams make the histograms bitwise equal, not just statistically
       // close.
       sim::StabilizerSimulator tableau(seed + 1);
-      sim::set_stab_packed(1);
       const auto cp = tableau.run(qc, shots);
-      sim::set_stab_packed(0);
-      const auto cb = tableau.run(qc, shots);
-      sim::set_stab_packed(-1);
+      const auto cb = testing::reference_stabilizer_run(qc, seed + 1, shots);
       EXPECT_EQ(cp.histogram, cb.histogram) << "packed vs byte, seed "
                                             << seed;
       // The array engine votes statistically on the same distribution.
@@ -422,9 +420,8 @@ TEST(Differential, QbinServicePathMatchesDirectExecute) {
   // to the service as a pre-encoded binary payload must produce counts
   // bitwise equal to a direct exec::execute of the original circuit — the
   // decode is lossless and the payload-derived batching key changes only
-  // *which jobs run back to back*, never any job's result. Exercised with
-  // the payload fingerprint path both on (key read off the payload's
-  // structural prefix) and off (key recomputed from the decoded circuit).
+  // *which jobs run back to back*, never any job's result. The key is read
+  // off the payload's structural prefix.
   const noise::NoiseModel noiseless;
   const int shots = 4000;
   std::vector<std::uint64_t> seeds;
@@ -433,34 +430,29 @@ TEST(Differential, QbinServicePathMatchesDirectExecute) {
   ASSERT_GE(seeds.size(), 4u);
   const arch::Backend backend = arch::qx4_backend();
 
-  for (int fingerprint = 1; fingerprint >= 0; --fingerprint) {
-    SCOPED_TRACE(fingerprint ? "payload fingerprint" : "decoded-circuit key");
-    qbin::set_fingerprint_enabled(fingerprint);
-    service::ServiceConfig config;
-    config.workers = 3;
-    service::ExecutionService svc(config);
-    std::vector<service::JobHandle> handles;
-    std::vector<exec::ExecuteOptions> opts_used;
-    for (std::uint64_t seed : seeds) {
-      exec::ExecuteOptions opts;
-      opts.shots = shots;
-      opts.seed = seed * 131 + 5;
-      opts.noise_model = &noiseless;
-      opts_used.push_back(opts);
-      const qbin::Bytes payload = qbin::encode(random_measured_circuit(seed));
-      handles.push_back(svc.submit(payload, backend, opts, "qbin"));
-    }
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      SCOPED_TRACE("seed " + std::to_string(seeds[i]));
-      const service::JobResult r = handles[i].result();
-      ASSERT_EQ(r.state, service::JobState::Done) << r.error;
-      const auto direct = exec::execute(random_measured_circuit(seeds[i]),
-                                        backend, opts_used[i]);
-      EXPECT_EQ(r.counts.histogram, direct.counts.histogram)
-          << "QBIN service counts diverged from direct exec::execute";
-    }
+  service::ServiceConfig config;
+  config.workers = 3;
+  service::ExecutionService svc(config);
+  std::vector<service::JobHandle> handles;
+  std::vector<exec::ExecuteOptions> opts_used;
+  for (std::uint64_t seed : seeds) {
+    exec::ExecuteOptions opts;
+    opts.shots = shots;
+    opts.seed = seed * 131 + 5;
+    opts.noise_model = &noiseless;
+    opts_used.push_back(opts);
+    const qbin::Bytes payload = qbin::encode(random_measured_circuit(seed));
+    handles.push_back(svc.submit(payload, backend, opts, "qbin"));
   }
-  qbin::set_fingerprint_enabled(-1);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    SCOPED_TRACE("seed " + std::to_string(seeds[i]));
+    const service::JobResult r = handles[i].result();
+    ASSERT_EQ(r.state, service::JobState::Done) << r.error;
+    const auto direct = exec::execute(random_measured_circuit(seeds[i]),
+                                      backend, opts_used[i]);
+    EXPECT_EQ(r.counts.histogram, direct.counts.histogram)
+        << "QBIN service counts diverged from direct exec::execute";
+  }
 }
 
 TEST(Differential, QbinAndCircuitSubmissionsBatchTogether) {

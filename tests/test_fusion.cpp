@@ -34,7 +34,6 @@ struct FusionGuard {
   ~FusionGuard() {
     set_fusion_enabled(-1);
     set_fusion_max_qubits(0);
-    set_fusion_cost_model(-1);
     simd::set_simd_enabled(-1);
   }
 };
@@ -199,11 +198,13 @@ TEST(FusionCost, TableFollowsSimdEngineUnlessForced) {
   set_fusion_enabled(1);
   QuantumCircuit qc(2);
   qc.h(0).cx(0, 1);
-  set_fusion_cost_model(0);
-  EXPECT_FALSE(fuse_circuit(qc).vector_costs);
-  set_fusion_cost_model(1);
-  EXPECT_TRUE(fuse_circuit(qc).vector_costs);
-  set_fusion_cost_model(-1);  // auto: track the engine state
+  FusionConfig cfg = fusion_config();
+  cfg.cost_model = 0;
+  EXPECT_FALSE(fuse_circuit(qc, cfg).vector_costs);
+  cfg.cost_model = 1;
+  EXPECT_TRUE(fuse_circuit(qc, cfg).vector_costs);
+  // The default config is auto: it tracks the engine state.
+  EXPECT_EQ(fusion_config().cost_model, -1);
   simd::set_simd_enabled(0);
   EXPECT_FALSE(fuse_circuit(qc).vector_costs);
   simd::set_simd_enabled(1);
@@ -227,16 +228,17 @@ TEST(FusionCost, VectorTableRejectsAMergeTheScalarTableAccepts) {
   qc.cx(1, 2);
   qc.u(-0.6, 1.4, 0.2, 0).u(0.8, -1.0, 0.6, 1);
 
-  set_fusion_cost_model(0);
-  const FusedCircuit scalar = fuse_circuit(qc);
+  FusionConfig cfg = fusion_config();
+  cfg.cost_model = 0;
+  const FusedCircuit scalar = fuse_circuit(qc, cfg);
   ASSERT_EQ(scalar.ops.size(), 1u);
   EXPECT_EQ(scalar.ops[0].kind, Kind::Matrix);
   EXPECT_EQ(scalar.ops[0].source_gates, 7);
   EXPECT_NEAR(scalar.unfused_cost, 5.7, 1e-12);
   EXPECT_NEAR(scalar.planned_cost, 5.6, 1e-12);
 
-  set_fusion_cost_model(1);
-  const FusedCircuit vec = fuse_circuit(qc);
+  cfg.cost_model = 1;
+  const FusedCircuit vec = fuse_circuit(qc, cfg);
   EXPECT_GT(vec.ops.size(), 1u);
   EXPECT_LE(max_fused_width(vec), 2) << "re-partition runs at cap k-1";
   EXPECT_NEAR(vec.unfused_cost, 6.1, 1e-12);
@@ -246,11 +248,12 @@ TEST(FusionCost, VectorTableRejectsAMergeTheScalarTableAccepts) {
 TEST(FusionCost, PlannedCostNeverExceedsUnfusedCost) {
   FusionGuard guard;
   set_fusion_enabled(1);
+  FusionConfig cfg = fusion_config();
   for (int model = 0; model <= 1; ++model) {
-    set_fusion_cost_model(model);
+    cfg.cost_model = model;
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
       const int n = 2 + static_cast<int>(seed % 5);
-      const FusedCircuit plan = fuse_circuit(random_gates(n, 40, seed));
+      const FusedCircuit plan = fuse_circuit(random_gates(n, 40, seed), cfg);
       EXPECT_EQ(plan.vector_costs, model == 1);
       EXPECT_GT(plan.unfused_cost, 0.0);
       EXPECT_LE(plan.planned_cost, plan.unfused_cost + 1e-9)

@@ -341,14 +341,5 @@ TEST(QbinRoundtrip, EncodeRejectsUnrepresentableCircuits) {
   EXPECT_THROW(qbin::encode(stale_cond_val), std::invalid_argument);
 }
 
-TEST(QbinRoundtrip, FingerprintKnobOverrides) {
-  qbin::set_fingerprint_enabled(0);
-  EXPECT_FALSE(qbin::fingerprint_enabled());
-  qbin::set_fingerprint_enabled(1);
-  EXPECT_TRUE(qbin::fingerprint_enabled());
-  qbin::set_fingerprint_enabled(-1);  // back to env/default (on in tests)
-  EXPECT_TRUE(qbin::fingerprint_enabled());
-}
-
 }  // namespace
 }  // namespace qtc
