@@ -1,10 +1,11 @@
-// Stabilizer-engine benchmark: bit-packed word-parallel tableau with
-// tableau-once shot sampling.
+// Stabilizer-engine benchmark: bit-packed tableau (qubit-major for gates,
+// row-major for measurement) with tableau-once shot sampling.
 //
 // The artifact (stderr) is a workload table — GHZ chains, randomized-
-// benchmarking-style Clifford layer sweeps, and repetition-code syndrome
-// cycles (mid-circuit ancilla measure + reset) — timing the engine end to
-// end through StabilizerSimulator::run. A final section shows tableau-once
+// benchmarking-style Clifford layer sweeps, repetition-code syndrome cycles
+// (mid-circuit ancilla measure + reset) and the gates of a GHZ-399 routed on
+// a 433-qubit heavy-hex map — timing the engine end to end through
+// StabilizerSimulator::run. A final section shows tableau-once
 // amortization: shots=1 vs shots=4096 on the same circuit.
 //
 //   ./bench_stabilizer --benchmark_format=json > BENCH_stabilizer.json
@@ -13,9 +14,11 @@
 #include <chrono>
 #include <cstdio>
 
+#include "arch/backend.hpp"
 #include "bench_common.hpp"
 #include "core/rng.hpp"
 #include "sim/stabilizer.hpp"
+#include "transpiler/transpile.hpp"
 
 namespace {
 
@@ -74,6 +77,26 @@ QuantumCircuit repetition_syndrome_circuit(int distance, int cycles) {
   return qc;
 }
 
+/// GHZ-399 routed on UCX heavy_hex(13) (433 qubits, ~8.7k H/CX), with its
+/// measurements stripped: gate application alone, the part of a
+/// clifford-scale job that the qubit-major layout speeds up.
+const QuantumCircuit& routed_ghz_gates() {
+  static const QuantumCircuit gates = [] {
+    const qtc::arch::CouplingMap map = qtc::arch::heavy_hex(13);
+    const qtc::arch::Backend backend(map, qtc::arch::heavy_hex_calibration(map),
+                                     qtc::arch::BasisSet::UCX);
+    qtc::transpiler::TranspileOptions options;
+    options.seed = 1;
+    const QuantumCircuit routed =
+        qtc::transpiler::transpile(ghz_circuit(399), backend, options).circuit;
+    QuantumCircuit out(routed.num_qubits(), routed.num_clbits());
+    for (const auto& op : routed.ops())
+      if (op.kind != qtc::OpKind::Measure) out.ops().push_back(op);
+    return out;
+  }();
+  return gates;
+}
+
 /// End-to-end StabilizerSimulator::run wall time in ms (best-effort mean of
 /// `reps` timed runs after one warm-up).
 double time_run_ms(const QuantumCircuit& qc, int shots, int reps = 2) {
@@ -108,6 +131,7 @@ void print_artifact() {
       {"rb n=256 depth=8", rb_circuit(256, 8, 8), 1024},
       {"rb n=256 depth=32", rb_circuit(256, 32, 9), 1024},
       {"repetition d=11 cycles=10", repetition_syndrome_circuit(11, 10), 1024},
+      {"routed ghz n=399, gates only", routed_ghz_gates(), 1},
   };
   for (const Workload& w : workloads)
     std::fprintf(stderr, "  %-30s %7d %11.2f\n", w.name, w.shots,
@@ -171,6 +195,16 @@ BENCHMARK(BM_StabilizerSyndrome)
     ->Args({11, 10})
     ->Args({25, 4})
     ->Unit(benchmark::kMillisecond);
+
+void BM_StabilizerGates(benchmark::State& state) {
+  const QuantumCircuit& qc = routed_ghz_gates();
+  sim::StabilizerSimulator simulator(0xBE7C5);
+  for (auto _ : state) {
+    auto counts = simulator.run(qc, 1);
+    benchmark::DoNotOptimize(counts);
+  }
+}
+BENCHMARK(BM_StabilizerGates)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

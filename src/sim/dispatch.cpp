@@ -12,10 +12,10 @@ namespace qtc::sim {
 
 namespace {
 
-// The Clifford gate-set predicate is sim::is_clifford_kind (stabilizer.hpp)
-// — the same source of truth the tableau engine itself checks against, so a
-// new Clifford opcode can't silently diverge the dispatcher's profile from
-// what the engine accepts.
+// The Clifford predicate is sim::is_clifford_op (stabilizer.hpp) — the same
+// source of truth the tableau engine itself checks against, so a new
+// Clifford gate can't silently diverge the dispatcher's profile from what
+// the engine accepts.
 
 // One counter slot per Engine value (Auto never runs, but indexing by the
 // enum keeps the bookkeeping trivial).
@@ -75,7 +75,7 @@ CircuitProfile profile_circuit(const QuantumCircuit& circuit) {
     if (op_is_unitary(op.kind)) {
       ++p.unitary_gates;
       if (op.qubits.size() >= 2) ++p.entangling_gates;
-      if (!is_clifford_kind(op.kind)) p.clifford_only = false;
+      if (!is_clifford_op(op)) p.clifford_only = false;
     }
     for (Qubit q : op.qubits)
       if (measured[static_cast<std::size_t>(q)]) p.measurements_final = false;

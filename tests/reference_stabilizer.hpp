@@ -20,6 +20,7 @@
 #include "core/rng.hpp"
 #include "sim/result.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stabilizer.hpp"
 
 namespace qtc::testing {
 
@@ -78,6 +79,7 @@ class StabilizerState {
     sdg(target), cx(control, target), s(target);
   }
   void swap(int a, int b) { cx(a, b), cx(b, a), cx(a, b); }
+  void ecr(int a, int b) { x(a), sdg(a), sxdg(b), cx(a, b); }
 
   /// Apply a Clifford operation from the IR; throws on non-Clifford gates.
   void apply(const Operation& op) {
@@ -110,6 +112,20 @@ class StabilizerState {
         return cz(q[0], q[1]);
       case OpKind::SWAP:
         return swap(q[0], q[1]);
+      case OpKind::ECR:
+        return ecr(q[0], q[1]);
+      case OpKind::RZ:
+        switch (sim::rz_quarter_turns(op.params[0])) {
+          case 0:
+            return;
+          case 1:
+            return s(q[0]);
+          case 2:
+            return z(q[0]);
+          case 3:
+            return sdg(q[0]);
+        }
+        [[fallthrough]];
       default:
         throw std::invalid_argument(
             std::string("stabilizer: non-Clifford op ") + op_name(op.kind));
