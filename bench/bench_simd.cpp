@@ -44,8 +44,9 @@ sim::Statevector bench_state() {
 /// One timed application of `body` on a fresh state, in ns per amplitude.
 template <typename Body>
 double time_kernel_ns_per_amp(const Body& body, int simd) {
-  sim::Statevector sv = bench_state();
+  // A state resolves its kernel ISA when it is built, so set the knob first.
   sim::simd::set_simd_enabled(simd);
+  sim::Statevector sv = bench_state();
   // Warm-up pass (page the state in), then the timed passes.
   body(sv);
   constexpr int kReps = 10;
@@ -169,9 +170,9 @@ void print_routing_artifact() {
 // --- google-benchmark timings (the JSON artifact CI uploads) ----------------
 
 void bench_apply_1q(benchmark::State& state) {
-  sim::Statevector sv = bench_state();
   const Matrix m = qtc::op_matrix(qtc::OpKind::H, {});
   sim::simd::set_simd_enabled(static_cast<int>(state.range(0)));
+  sim::Statevector sv = bench_state();
   for (auto _ : state) {
     sv.apply_1q(m(0, 0), m(0, 1), m(1, 0), m(1, 1), 12);
     benchmark::DoNotOptimize(sv.amplitudes().data());
@@ -183,10 +184,10 @@ void bench_apply_1q(benchmark::State& state) {
 BENCHMARK(bench_apply_1q)->Arg(0)->Arg(1)->Name("apply_1q/simd");
 
 void bench_apply_diagonal(benchmark::State& state) {
-  sim::Statevector sv = bench_state();
   const std::vector<cplx> d = {
       {1, 0}, {0.92106099400288508, 0.38941834230865049}, {1, 0}, {-1, 0}};
   sim::simd::set_simd_enabled(static_cast<int>(state.range(0)));
+  sim::Statevector sv = bench_state();
   for (auto _ : state) {
     sv.apply_diagonal(d, {5, 11});
     benchmark::DoNotOptimize(sv.amplitudes().data());
@@ -198,9 +199,9 @@ void bench_apply_diagonal(benchmark::State& state) {
 BENCHMARK(bench_apply_diagonal)->Arg(0)->Arg(1)->Name("apply_diagonal/simd");
 
 void bench_apply_matrix_2q(benchmark::State& state) {
-  sim::Statevector sv = bench_state();
   const Matrix m = qtc::op_matrix(qtc::OpKind::RXX, {0.37});
   sim::simd::set_simd_enabled(static_cast<int>(state.range(0)));
+  sim::Statevector sv = bench_state();
   for (auto _ : state) {
     sv.apply_matrix(m, {4, 13});
     benchmark::DoNotOptimize(sv.amplitudes().data());

@@ -27,7 +27,6 @@ enum class Knob : std::uint8_t {
   Simd,
   Fusion,
   FusionMaxQubits,
-  TrajParallel,
   Dispatch,
   DdGcThreshold,
   DdCtBits,
@@ -61,7 +60,6 @@ inline constexpr Spec kTable[] = {
     {Knob::Simd, "QTC_SIMD", Type::Flag, 1, 0, 1},
     {Knob::Fusion, "QTC_FUSION", Type::Flag, 1, 0, 1},
     {Knob::FusionMaxQubits, "QTC_FUSION_MAX_QUBITS", Type::Int, 3, 1, 6},
-    {Knob::TrajParallel, "QTC_TRAJ_PARALLEL", Type::Flag, 1, 0, 1},
     {Knob::Dispatch, "QTC_DISPATCH", Type::Flag, 1, 0, 1},
     {Knob::DdGcThreshold, "QTC_DD_GC_THRESHOLD", Type::Int, 131072, 0,
      std::uint64_t{1} << 62},

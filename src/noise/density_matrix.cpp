@@ -225,9 +225,8 @@ DensityMatrixSimulator::Result DensityMatrixSimulator::run(
     result.counts.shots = shots;
     return result;
   }
-  // Shots sample the precomputed cumulative diagonal by binary search, one
-  // seed-derived RNG stream per shot, in parallel; outcomes are recorded in
-  // shot order so fixed-seed counts are thread-count invariant.
+  // Shots sample the cumulative diagonal by binary search; one search is
+  // cheaper than a fork, so up to 256 shots stay serial.
   const std::vector<double> p = result.state.probabilities();
   std::vector<double> cdf(p.size());
   double acc = 0;
@@ -235,12 +234,10 @@ DensityMatrixSimulator::Result DensityMatrixSimulator::run(
     acc += std::max(0.0, p[i]);
     cdf[i] = acc;
   }
-  std::vector<std::string> outcomes(static_cast<std::size_t>(shots));
-  parallel::parallel_for(
-      0, static_cast<std::uint64_t>(shots),
-      [&](std::uint64_t s0, std::uint64_t s1) {
-        for (std::uint64_t s = s0; s < s1; ++s) {
-          Rng rng(derive_stream_seed(seed_, s));
+  result.counts = sim::sample_shots(
+      seed_, shots,
+      [&] {
+        return [&](std::uint64_t, Rng& rng) {
           const std::uint64_t basis = sim::sample_cdf(cdf, rng.uniform());
           std::string key(ncl, '0');
           for (auto [q, c] : qubit_to_clbit) {
@@ -248,11 +245,10 @@ DensityMatrixSimulator::Result DensityMatrixSimulator::run(
                 q, static_cast<int>((basis >> q) & 1), rng);
             if (value) key[ncl - 1 - c] = '1';
           }
-          outcomes[s] = std::move(key);
-        }
+          return key;
+        };
       },
       /*serial_cutoff=*/256);
-  for (const std::string& o : outcomes) result.counts.record(o);
   return result;
 }
 

@@ -61,9 +61,10 @@ class DensityMatrix {
 /// Exact noisy executor. Measurements must form a final layer; reset and
 /// classical conditioning are not supported (use TrajectorySimulator).
 /// Superoperator application parallelizes over row/column blocks on the
-/// core/parallel.hpp pool and shots sample with per-shot derived RNG
-/// streams, so fixed-seed counts are thread-count invariant and repeated
-/// run() calls on one simulator are identical.
+/// core/parallel.hpp pool. Shots sample the final diagonal through
+/// sim::sample_shots, the seeded shot loop every engine shares (serial
+/// below 256 shots), so fixed-seed counts are thread-count invariant and
+/// repeated run() calls on one simulator are identical.
 class DensityMatrixSimulator {
  public:
   explicit DensityMatrixSimulator(std::uint64_t seed = 0xC0FFEE)

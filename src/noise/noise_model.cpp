@@ -60,10 +60,7 @@ const ReadoutError* NoiseModel::readout_error(int qubit) const {
 }
 
 int NoiseModel::apply_readout(int qubit, int value, Rng& rng) const {
-  const ReadoutError* err = readout_error(qubit);
-  if (err == nullptr) return value;
-  const double flip_prob = value == 1 ? err->p0_given_1 : err->p1_given_0;
-  return rng.bernoulli(flip_prob) ? 1 - value : value;
+  return sim::apply_readout(readout_error(qubit), value, rng);
 }
 
 namespace {

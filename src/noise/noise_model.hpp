@@ -12,14 +12,12 @@
 #include "core/circuit.hpp"
 #include "core/rng.hpp"
 #include "noise/channel.hpp"
+#include "sim/simulator.hpp"
 
 namespace qtc::noise {
 
-/// Asymmetric readout error for one qubit.
-struct ReadoutError {
-  double p0_given_1 = 0;  // probability of reading 0 when the state is 1
-  double p1_given_0 = 0;  // probability of reading 1 when the state is 0
-};
+/// Asymmetric readout error for one qubit (the replay reads it as data).
+using ReadoutError = sim::ReadoutError;
 
 /// Channels are immutable values shared by every model (and model copy)
 /// that attaches them: copying a NoiseModel copies its lookup tables and

@@ -1,45 +1,15 @@
 #include "noise/trajectory.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "core/knobs.hpp"
-#include "core/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/statevector.hpp"
 
 namespace qtc::noise {
 
 namespace {
-
-/// Stochastically apply one Kraus operator: candidate states K_k|psi> are
-/// selected with probability ||K_k psi||^2 and renormalized. `candidate` is
-/// caller-owned scratch so the per-gate hot loop reuses one allocation
-/// across the whole trajectory.
-void sample_kraus(sim::Statevector& sv, const KrausChannel& channel,
-                  const std::vector<int>& qubits, Rng& rng,
-                  sim::Statevector& candidate) {
-  const double r = rng.uniform();
-  const std::size_t nops = channel.ops.size();
-  double acc = 0;
-  for (std::size_t k = 0; k + 1 < nops; ++k) {
-    candidate = sv;  // copy-assign reuses the scratch buffer's capacity
-    candidate.apply_matrix(channel.ops[k], qubits);
-    const double p = candidate.norm() * candidate.norm();
-    acc += p;
-    if (r < acc) {
-      candidate.normalize();
-      std::swap(sv, candidate);
-      return;
-    }
-  }
-  // Fall through to the last operator (also the only one for a 1-op
-  // channel): apply in place, no candidate copy needed.
-  sv.apply_matrix(channel.ops[nops - 1], qubits);
-  sv.normalize();
-}
 
 /// Fuse `segment` (a stretch of unconditioned noiseless unitary gates and
 /// barriers) and splice the resulting kernels into the plan.
@@ -82,15 +52,6 @@ std::vector<int> compact_plan(TrajectoryPlan& plan) {
 }
 
 }  // namespace
-
-bool trajectory_parallel() { return knobs::flag(knobs::Knob::TrajParallel); }
-
-void set_trajectory_parallel(int enabled) {
-  if (enabled < 0)
-    knobs::clear(knobs::Knob::TrajParallel);
-  else
-    knobs::set(knobs::Knob::TrajParallel, enabled);
-}
 
 TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
                                        const NoiseModel& noise) {
@@ -138,68 +99,26 @@ sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
   // Simulate only the qubits the plan touches; the state sits at their
   // circuit positions so reductions match the full-width register bit for
   // bit (DESIGN.md, "Trajectory compaction").
-  const std::vector<int> active = compact_plan(plan);
+  std::vector<int> active = compact_plan(plan);
   const int width = static_cast<int>(active.size());
   if (width > sim::kMaxStatevectorQubits)
     throw std::invalid_argument(
         "trajectory: circuit touches " + std::to_string(width) +
         " qubits; the statevector engine holds at most " +
         std::to_string(sim::kMaxStatevectorQubits));
-  const int ncl = plan.num_clbits;
 
-  // Trajectories are independent given their seed-derived RNG streams, so
-  // they run in parallel; outcomes are recorded in shot order afterwards,
-  // making the Counts identical for a fixed seed whatever the thread count.
-  std::vector<std::string> outcomes(static_cast<std::size_t>(shots));
-  const auto body = [&](std::uint64_t s0, std::uint64_t s1) {
-    sim::Statevector kraus_scratch(width);
-    for (std::uint64_t s = s0; s < s1; ++s) {
-      Rng rng(derive_stream_seed(seed_, s));
-      sim::Statevector sv(width);
-      sv.set_register_layout(active, plan.num_qubits);
-      std::vector<int> clbits(ncl, 0);
-      for (const TrajectoryPlan::Step& step : plan.steps) {
-        const sim::FusedOp& f = step.fused;
-        if (f.kind != sim::FusedOp::Kind::Op) {
-          sim::apply_fused_op(sv, f);
-          continue;
-        }
-        const Operation& op = f.op;
-        if (op.conditioned()) {
-          const Register& reg = circuit.cregs()[op.cond_reg];
-          if (sim::creg_value(reg, clbits) != op.cond_val) continue;
-        }
-        switch (op.kind) {
-          case OpKind::Measure: {
-            const int value = sv.measure(op.qubits[0], rng);
-            clbits[op.clbits[0]] =
-                noise.apply_readout(active[op.qubits[0]], value, rng);
-            break;
-          }
-          case OpKind::Reset:
-            sv.reset(op.qubits[0], rng);
-            break;
-          case OpKind::Barrier:
-            break;
-          default: {
-            sv.apply(op);
-            if (step.channel)
-              sample_kraus(sv, *step.channel, op.qubits, rng, kraus_scratch);
-          }
-        }
-      }
-      outcomes[s] = sim::bits_key(clbits);
-    }
-  };
-  if (trajectory_parallel())
-    parallel::parallel_for(0, static_cast<std::uint64_t>(shots), body,
-                           /*serial_cutoff=*/2);
-  else
-    body(0, static_cast<std::uint64_t>(shots));
-
-  sim::Counts counts;
-  for (const std::string& o : outcomes) counts.record(o);
-  return counts;
+  sim::ShotPlan replay;
+  for (TrajectoryPlan::Step& step : plan.steps) {
+    replay.ops.push_back(std::move(step.fused));
+    replay.kraus.push_back(step.channel ? &step.channel->ops : nullptr);
+  }
+  for (int q : active) replay.readout.push_back(noise.readout_error(q));
+  replay.num_qubits = width;
+  replay.num_clbits = plan.num_clbits;
+  replay.positions = std::move(active);
+  replay.register_width = plan.num_qubits;
+  replay.cregs = &circuit.cregs();
+  return sim::replay_shots(replay, seed_, shots);
 }
 
 }  // namespace qtc::noise

@@ -15,17 +15,14 @@
 // in increasing order, on a state that keeps its place in the circuit's
 // register so reductions, and hence counts, match the full-width engine
 // bit for bit (DESIGN.md, "Trajectory compaction").
-// Every trajectory replays that plan with its own RNG stream derived from
-// (seed, trajectory index), and trajectories run in parallel on the
-// core/parallel.hpp fork-join pool. Fixed-seed counts are bitwise identical
-// whatever QTC_NUM_THREADS says, and reproducible run-to-run: trajectory i
-// sees the same stream no matter how many shots are requested or in which
-// order they execute.
+// The compacted plan runs through sim::replay_shots, the replay the ideal
+// StatevectorSimulator uses too, and so through sim::sample_shots, the
+// seeded shot loop of every engine: trajectory i draws from its own stream
+// seeded by (seed, i), so fixed-seed counts are bitwise identical whatever
+// QTC_NUM_THREADS says, run to run, and whatever the shot count.
 //
-// Knobs: QTC_TRAJ_PARALLEL (on by default; "0"/"off"/"false"/"no" keeps the
-// shot loop serial so amplitude-level kernel parallelism gets the whole
-// pool) plus the shared QTC_FUSION / QTC_FUSION_MAX_QUBITS and
-// QTC_NUM_THREADS. All fallbacks are bitwise passthroughs.
+// Knobs: the shared QTC_FUSION / QTC_FUSION_MAX_QUBITS and QTC_NUM_THREADS.
+// All fallbacks are bitwise passthroughs.
 
 #include <cstdint>
 #include <vector>
@@ -36,13 +33,6 @@
 #include "sim/result.hpp"
 
 namespace qtc::noise {
-
-/// Shot-level parallelism switch: the programmatic override if set, else the
-/// QTC_TRAJ_PARALLEL environment variable, else on. Serial execution
-/// produces bitwise-identical counts (same per-trajectory streams).
-bool trajectory_parallel();
-/// Force shot-level parallelism on (1) / off (0); -1 restores env/default.
-void set_trajectory_parallel(int enabled);
 
 /// A compiled noise-aware execution plan. Noiseless unitary segments are
 /// fused kernels; everything else (noisy gates, measure, reset, conditioned

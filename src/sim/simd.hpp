@@ -42,11 +42,13 @@ bool vector_available();
 /// vector path is available.
 bool simd_enabled();
 /// Force SIMD on (1) / off (0); -1 restores the env/default behavior.
+/// A Statevector built earlier keeps the ISA it resolved when it was built.
 void set_simd_enabled(int enabled);
 
 /// The path kernel calls take right now: the best available vector ISA when
-/// simd_enabled(), Isa::Scalar otherwise. Resolve once per kernel
-/// invocation and pass down, so the choice never flips mid-sweep.
+/// simd_enabled(), Isa::Scalar otherwise. Reads the knob, so callers
+/// resolve it once and pass it down: a Statevector when it is built, the
+/// stabilizer tableau once per measurement.
 Isa select();
 
 // --- kernel entry points -----------------------------------------------------

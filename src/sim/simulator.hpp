@@ -2,6 +2,8 @@
 // The "qasm_simulator" of the paper's Sec. IV: executes circuits with
 // measurements, resets and classical conditioning over many shots, and the
 // "unitary_simulator": accumulates a circuit's full 2^n x 2^n matrix.
+// Its shot-by-shot path and noise::TrajectorySimulator share one replay,
+// replay_shots, which takes Kraus operators and readout errors as data.
 
 #include <cstdint>
 #include <vector>
@@ -9,10 +11,47 @@
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
+#include "sim/fusion.hpp"
 #include "sim/result.hpp"
 #include "sim/statevector.hpp"
 
 namespace qtc::sim {
+
+/// Asymmetric readout error for one qubit.
+struct ReadoutError {
+  double p0_given_1 = 0;  // probability of reading 0 when the state is 1
+  double p1_given_0 = 0;  // probability of reading 1 when the state is 0
+};
+
+/// Sample a readout flip of a measured bit `value` under `error` (nullptr:
+/// ideal readout, no draw).
+inline int apply_readout(const ReadoutError* error, int value, Rng& rng) {
+  if (error == nullptr) return value;
+  const double flip_prob = value == 1 ? error->p0_given_1 : error->p1_given_0;
+  return rng.bernoulli(flip_prob) ? 1 - value : value;
+}
+
+/// A compiled statevector program as replay_shots runs it. The pointers
+/// borrow: what they point to must outlive the replay.
+struct ShotPlan {
+  std::vector<FusedOp> ops;
+  /// Kraus operators sampled after passthrough unitary ops[i] (nullptr:
+  /// noiseless), and readout error per simulated qubit (nullptr: ideal).
+  /// Either vector is empty when nothing is noisy.
+  std::vector<const std::vector<Matrix>*> kraus;
+  std::vector<const ReadoutError*> readout;
+  int num_qubits = 0;  // simulated width
+  int num_clbits = 0;
+  /// Statevector::set_register_layout of the state; empty: its own register.
+  std::vector<int> positions;
+  int register_width = 0;
+  const std::vector<Register>* cregs = nullptr;  // read by conditioned ops
+};
+
+/// Run `shots` replays of `plan` under the sample_shots contract. When
+/// `last_state` is given it receives the last shot's final amplitudes.
+Counts replay_shots(const ShotPlan& plan, std::uint64_t seed, int shots,
+                    std::vector<cplx>* last_state = nullptr);
 
 struct RunResult {
   Counts counts;
@@ -31,10 +70,11 @@ class StatevectorSimulator {
   /// kernel plan (see sim/fusion.hpp; QTC_FUSION / QTC_FUSION_MAX_QUBITS).
   /// Circuits whose measurements form a final layer (no conditionals/resets)
   /// are simulated once and sampled `shots` times from a precomputed
-  /// cumulative distribution; anything else is re-simulated shot by shot, in
-  /// parallel, replaying the compiled plan with a per-shot RNG stream
-  /// derived from (seed, shot index). Either way the counts for a fixed seed
-  /// are identical whatever QTC_NUM_THREADS says. Circuits without any
+  /// cumulative distribution, drawing from the simulator's own RNG (a
+  /// second run() continues it). Anything else goes through replay_shots
+  /// with no noise: per-shot streams derived from (seed, shot index), so a
+  /// repeated run() gives the same counts. Either way the counts for a fixed
+  /// seed are identical whatever QTC_NUM_THREADS says. Circuits without any
   /// measurement yield empty counts.
   RunResult run(const QuantumCircuit& circuit, int shots = 1024);
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/parallel.hpp"
 #include "core/types.hpp"
 #include "sim/simulator.hpp"
 
@@ -552,23 +551,6 @@ std::string run_one_shot(const QuantumCircuit& circuit, Rng& rng) {
   return bits_key(clbits);
 }
 
-Counts run_per_shot(const QuantumCircuit& circuit, std::uint64_t seed,
-                    int shots) {
-  std::vector<std::string> outcomes(static_cast<std::size_t>(shots));
-  parallel::parallel_for(
-      0, static_cast<std::uint64_t>(shots),
-      [&](std::uint64_t s0, std::uint64_t s1) {
-        for (std::uint64_t s = s0; s < s1; ++s) {
-          Rng rng(derive_stream_seed(seed, s));
-          outcomes[s] = run_one_shot(circuit, rng);
-        }
-      },
-      /*serial_cutoff=*/2);
-  Counts counts;
-  for (const auto& o : outcomes) counts.record(o);
-  return counts;
-}
-
 /// Tableau-once path: one symbolic pass records the measurement skeleton,
 /// then every shot just flips its seed-derived coins and replays the
 /// skeleton — no gates are re-simulated. Coins are consumed in the same
@@ -626,28 +608,21 @@ Counts run_tableau_once(const QuantumCircuit& circuit, std::uint64_t seed,
   const int ncl = circuit.num_clbits();
   const int coins = state.num_coins();
   const std::size_t coin_words = (static_cast<std::size_t>(coins) + 63) / 64;
-  std::vector<std::string> outcomes(static_cast<std::size_t>(shots));
-  parallel::parallel_for(
-      0, static_cast<std::uint64_t>(shots),
-      [&](std::uint64_t s0, std::uint64_t s1) {
-        std::vector<std::uint64_t> flips(std::max<std::size_t>(coin_words, 1));
-        std::vector<int> clbits(static_cast<std::size_t>(ncl));
-        for (std::uint64_t s = s0; s < s1; ++s) {
-          Rng rng(derive_stream_seed(seed, s));
-          std::fill(flips.begin(), flips.end(), 0);
-          for (int k = 0; k < coins; ++k)
-            if (rng.bernoulli(0.5))
-              flips[k >> 6] |= std::uint64_t{1} << (k & 63);
-          std::fill(clbits.begin(), clbits.end(), 0);
-          for (const Event& e : events)
-            clbits[e.clbit] = e.out.value(flips.data(), coin_words);
-          outcomes[s] = bits_key(clbits);
-        }
-      },
-      /*serial_cutoff=*/2);
-  Counts counts;
-  for (const auto& o : outcomes) counts.record(o);
-  return counts;
+  // The coin words and clbits are per-chunk scratch.
+  return sample_shots(seed, shots, [&] {
+    return [&, flips = std::vector<std::uint64_t>(
+                   std::max<std::size_t>(coin_words, 1)),
+            clbits = std::vector<int>(static_cast<std::size_t>(ncl))](
+               std::uint64_t, Rng& rng) mutable {
+      std::fill(flips.begin(), flips.end(), 0);
+      for (int k = 0; k < coins; ++k)
+        if (rng.bernoulli(0.5)) flips[k >> 6] |= std::uint64_t{1} << (k & 63);
+      std::fill(clbits.begin(), clbits.end(), 0);
+      for (const Event& e : events)
+        clbits[e.clbit] = e.out.value(flips.data(), coin_words);
+      return bits_key(clbits);
+    };
+  });
 }
 
 }  // namespace
@@ -660,7 +635,11 @@ Counts StabilizerSimulator::run(const QuantumCircuit& circuit, int shots) {
     if (op.conditioned())
       // Conditions read per-shot clbits, so which gates run varies by shot;
       // replay the tableau per shot instead of sampling a skeleton.
-      return run_per_shot(circuit, seed_, shots);
+      return sample_shots(seed_, shots, [&] {
+        return [&](std::uint64_t, Rng& rng) {
+          return run_one_shot(circuit, rng);
+        };
+      });
   return run_tableau_once(circuit, seed_, shots);
 }
 

@@ -30,8 +30,8 @@
 // measurements) instead of O(shots x gates x n). Classically-conditioned
 // circuits fall back to per-shot tableau replay (the condition changes which
 // gates run, which the one-pass skeleton cannot capture). Both paths consume
-// one coin per random measurement in program order from the same
-// seed-derived per-shot streams, so their counts agree bit for bit.
+// one coin per random measurement in program order from the same per-shot
+// streams of sim::sample_shots, so their counts agree bit for bit.
 
 #include <cstdint>
 #include <span>
@@ -261,13 +261,12 @@ class PackedStabilizerState {
   aligned_vector<std::uint64_t> ph_;       // (2n + 1) rows of pw_ words
 };
 
-/// Shot-based executor with full measure/reset/conditional support. Shots
-/// run on seed-derived per-shot RNG streams (core/rng.hpp::
-/// derive_stream_seed) like every other engine, so repeated run() calls and
-/// fresh simulators with the same seed are bitwise reproducible; the shot
-/// loop parallelizes on core/parallel.hpp. Unconditioned circuits sample
-/// all shots from one symbolic tableau pass (see file header); conditioned
-/// circuits replay the tableau per shot.
+/// Shot-based executor with full measure/reset/conditional support. Both
+/// paths sample through sim::sample_shots (sim/result.hpp), the seeded shot
+/// loop every engine shares, so repeated run() calls and fresh simulators
+/// with the same seed are bitwise reproducible at any thread count.
+/// Unconditioned circuits sample all shots from one symbolic tableau pass
+/// (see file header); conditioned circuits replay the tableau per shot.
 class StabilizerSimulator {
  public:
   explicit StabilizerSimulator(std::uint64_t seed = 0xC0FFEE) : seed_(seed) {}

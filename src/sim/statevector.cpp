@@ -100,12 +100,9 @@ void Statevector::apply_1q(cplx m00, cplx m01, cplx m10, cplx m11, int q) {
   if (q < 0 || q >= n_) throw std::out_of_range("apply_1q: qubit out of range");
   const std::uint64_t half = amp_.size() >> 1;
   const std::uint64_t mask = std::uint64_t{1} << q;
-  // Resolve the ISA once so the choice cannot flip between chunks of one
-  // sweep; the SIMD layer guarantees bitwise-identical results either way.
-  const simd::Isa isa = simd::select();
   cplx* amp = amp_.data();
   parallel::parallel_for(0, half, [&](std::uint64_t g0, std::uint64_t g1) {
-    simd::apply_1q_range(isa, amp, g0, g1, mask, m00, m01, m10, m11);
+    simd::apply_1q_range(isa_, amp, g0, g1, mask, m00, m01, m10, m11);
   });
 }
 
@@ -115,10 +112,9 @@ void Statevector::apply_cx(int control, int target) {
   const std::uint64_t half = amp_.size() >> 1;
   const std::uint64_t cmask = std::uint64_t{1} << control;
   const std::uint64_t tmask = std::uint64_t{1} << target;
-  const simd::Isa isa = simd::select();
   cplx* amp = amp_.data();
   parallel::parallel_for(0, half, [&](std::uint64_t g0, std::uint64_t g1) {
-    simd::apply_cx_range(isa, amp, g0, g1, cmask, tmask);
+    simd::apply_cx_range(isa_, amp, g0, g1, cmask, tmask);
   });
 }
 
@@ -163,7 +159,6 @@ void Statevector::apply_matrix(const Matrix& m, const std::vector<int>& qs) {
   // each group's rows still accumulate in the scalar column order, and lanes
   // are independent, so results are ISA- and pairing-invariant bit for bit
   // (an odd chunk tail runs the single-group scalar matvec).
-  const simd::Isa isa = simd::select();
   const cplx* md = m.data().data();
   auto expand = [&](std::uint64_t g) {
     for (int t = 0; t < k; ++t)
@@ -174,7 +169,7 @@ void Statevector::apply_matrix(const Matrix& m, const std::vector<int>& qs) {
     const std::uint64_t base = expand(g);
     for (std::size_t j = 0; j < dim; ++j)
       in[j] = amp_[base | gather_offsets_[j]];
-    simd::matvec(isa, md, in, out, dim);
+    simd::matvec(isa_, md, in, out, dim);
     for (std::size_t j = 0; j < dim; ++j)
       amp_[base | gather_offsets_[j]] = out[j];
   };
@@ -184,7 +179,7 @@ void Statevector::apply_matrix(const Matrix& m, const std::vector<int>& qs) {
       in2[2 * j] = amp_[ba | gather_offsets_[j]];
       in2[2 * j + 1] = amp_[bb | gather_offsets_[j]];
     }
-    simd::matvec2(isa, md, in2, out2, dim);
+    simd::matvec2(isa_, md, in2, out2, dim);
     for (std::size_t j = 0; j < dim; ++j) {
       amp_[ba | gather_offsets_[j]] = out2[2 * j];
       amp_[bb | gather_offsets_[j]] = out2[2 * j + 1];
@@ -235,7 +230,6 @@ void Statevector::apply_diagonal(const std::vector<cplx>& diag,
   const std::uint64_t seg = std::uint64_t{1} << qmin;
   const std::uint64_t cutoff =
       std::max<std::uint64_t>(1, parallel::kSerialCutoff >> qmin);
-  const simd::Isa isa = simd::select();
   cplx* amp = amp_.data();
   parallel::parallel_for(
       0, amp_.size() >> qmin,
@@ -244,7 +238,7 @@ void Statevector::apply_diagonal(const std::vector<cplx>& diag,
           const std::uint64_t i0 = s << qmin;
           std::size_t j = 0;
           for (int t = 0; t < k; ++t) j |= ((i0 >> qp[t]) & 1) << t;
-          simd::scale_range(isa, amp, i0, seg, diag[j]);
+          simd::scale_range(isa_, amp, i0, seg, diag[j]);
         }
       },
       cutoff);
@@ -263,7 +257,6 @@ void Statevector::apply_permutation(const std::vector<std::uint32_t>& row_of,
   const std::uint64_t groups = amp_.size() >> k;
   const std::uint64_t cutoff =
       std::max<std::uint64_t>(2, parallel::kSerialCutoff >> k);
-  const simd::Isa isa = simd::select();
   parallel::parallel_for(
       0, groups,
       [&](std::uint64_t g_lo, std::uint64_t g_hi) {
@@ -278,7 +271,7 @@ void Statevector::apply_permutation(const std::vector<std::uint32_t>& row_of,
             for (std::size_t j = 0; j < dim; ++j)
               amp_[base | gather_offsets_[row_of[j]]] = in[j];
           } else {
-            simd::cmul(isa, phases.data(), in, scaled, dim);
+            simd::cmul(isa_, phases.data(), in, scaled, dim);
             for (std::size_t j = 0; j < dim; ++j)
               amp_[base | gather_offsets_[row_of[j]]] = scaled[j];
           }
@@ -324,7 +317,6 @@ void Statevector::apply_controlled_matrix(const Matrix& u,
   const std::uint64_t groups = amp_.size() >> k;
   const std::uint64_t cutoff =
       std::max<std::uint64_t>(2, parallel::kSerialCutoff >> (2 * nt));
-  const simd::Isa isa = simd::select();
   const cplx* ud = u.data().data();
   // Same two-groups-per-matvec layout as apply_matrix (see the comment
   // there); the control mask pins every group to the control-active slice.
@@ -344,7 +336,7 @@ void Statevector::apply_controlled_matrix(const Matrix& u,
             in2[2 * j] = amp_[ba | gather_offsets_[j]];
             in2[2 * j + 1] = amp_[bb | gather_offsets_[j]];
           }
-          simd::matvec2(isa, ud, in2, out2, tdim);
+          simd::matvec2(isa_, ud, in2, out2, tdim);
           for (std::size_t j = 0; j < tdim; ++j) {
             amp_[ba | gather_offsets_[j]] = out2[2 * j];
             amp_[bb | gather_offsets_[j]] = out2[2 * j + 1];
@@ -354,7 +346,7 @@ void Statevector::apply_controlled_matrix(const Matrix& u,
           const std::uint64_t base = expand(g);
           for (std::size_t j = 0; j < tdim; ++j)
             in2[j] = amp_[base | gather_offsets_[j]];
-          simd::matvec(isa, ud, in2, out2, tdim);
+          simd::matvec(isa_, ud, in2, out2, tdim);
           for (std::size_t j = 0; j < tdim; ++j)
             amp_[base | gather_offsets_[j]] = out2[j];
         }

@@ -17,6 +17,7 @@
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
 #include "core/types.hpp"
+#include "sim/simd.hpp"
 
 namespace qtc::sim {
 
@@ -138,6 +139,10 @@ class Statevector {
   // Register placement (set_register_layout); empty = positions 0..n-1.
   std::vector<int> positions_;
   int register_width_ = 0;
+  // Kernel ISA, resolved once when the state is built (simd::select reads
+  // the QTC_SIMD knob); copies keep it. Vector and scalar kernels are
+  // bitwise equal, so the choice only affects speed.
+  simd::Isa isa_ = simd::select();
 };
 
 /// Render a basis index as a bitstring, qubit width-1 first (Qiskit order).

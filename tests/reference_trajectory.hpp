@@ -93,11 +93,8 @@ inline sim::Counts reference_trajectory_run(const QuantumCircuit& circuit,
       outcomes[s] = sim::bits_key(clbits);
     }
   };
-  if (noise::trajectory_parallel())
-    parallel::parallel_for(0, static_cast<std::uint64_t>(shots), body,
-                           /*serial_cutoff=*/2);
-  else
-    body(0, static_cast<std::uint64_t>(shots));
+  parallel::parallel_for(0, static_cast<std::uint64_t>(shots), body,
+                         /*serial_cutoff=*/2);
   sim::Counts counts;
   for (const std::string& o : outcomes) counts.record(o);
   return counts;

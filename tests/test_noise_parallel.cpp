@@ -1,8 +1,8 @@
 // Determinism contract of the parallel Monte-Carlo noise engine: fixed-seed
 // trajectory counts must be bitwise identical across thread counts, across
-// the QTC_TRAJ_PARALLEL shot-parallelism switch, across gate fusion on/off,
-// and across repeated run() calls on one simulator (per-trajectory RNG
-// streams are derived from (seed, shot index), never from shared state).
+// gate fusion on/off, and across repeated run() calls on one simulator
+// (per-trajectory RNG streams are derived from (seed, shot index), never
+// from shared state).
 // The density-matrix simulator's row-block parallelism and shot sampler
 // carry the same contract.
 
@@ -27,7 +27,6 @@ struct KnobGuard {
   ~KnobGuard() {
     parallel::set_num_threads(0);
     sim::set_fusion_enabled(-1);
-    set_trajectory_parallel(-1);
   }
 };
 
@@ -76,18 +75,6 @@ TEST(NoiseParallel, TrajectoryCountsThreadAndFusionInvariant) {
       EXPECT_EQ(counts.histogram, reference.histogram)
           << "threads=" << threads << " fusion=" << fusion;
     }
-}
-
-TEST(NoiseParallel, TrajectorySerialShotLoopIsBitwisePassthrough) {
-  KnobGuard guard;
-  const QuantumCircuit qc = full_feature_circuit();
-  const NoiseModel model = full_feature_noise();
-
-  set_trajectory_parallel(1);
-  const sim::Counts on = TrajectorySimulator(42).run(qc, model, 3000);
-  set_trajectory_parallel(0);
-  const sim::Counts off = TrajectorySimulator(42).run(qc, model, 3000);
-  EXPECT_EQ(on.histogram, off.histogram);
 }
 
 TEST(NoiseParallel, TrajectoryRepeatedRunsIdentical) {
