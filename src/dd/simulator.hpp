@@ -4,13 +4,13 @@
 // Functionally a drop-in alternative to sim::StatevectorSimulator, but the
 // state is a DD, so memory tracks circuit structure instead of 2^n.
 //
-// Measurement contract: measurements must form a final layer. A circuit in
-// which any gate or another measurement acts on a wire after that wire has
-// been measured is rejected with std::invalid_argument by simulate(),
-// statevector() and run() — silently skipping a mid-circuit measurement
-// would return confidently wrong amplitudes/counts, and the DD engine has
-// no collapse path. Reset and classically conditioned operations are
-// likewise unsupported.
+// Measurement contract: measurements must form a final layer
+// (sim::final_layer). A circuit in which a gate or another measurement acts
+// on a wire after that wire is measured, or with a reset or a conditioned
+// op, is rejected with std::invalid_argument by simulate(), statevector()
+// and run(): the DD engine has no collapse path. run() draws every shot
+// from the final diagram through sim::sample_final_layer, one stream seeded
+// from the simulator's seed per call, so a repeated run() repeats.
 //
 // Memory: the simulator pins its evolving state with a Package ref handle,
 // so the package's garbage collector (QTC_DD_GC_THRESHOLD) can reclaim
@@ -46,10 +46,10 @@ struct DDRunResult {
 
 class DDSimulator {
  public:
-  explicit DDSimulator(std::uint64_t seed = 0xC0FFEE) : rng_(seed) {}
+  explicit DDSimulator(std::uint64_t seed = 0xC0FFEE) : seed_(seed) {}
 
-  /// Execute with sampling; measurements must form a final layer (no
-  /// classical conditioning — mirror of the array simulator's fast path).
+  /// Execute with sampling; measurements must form a final layer (the
+  /// mirror of the array simulator's final-layer path).
   DDRunResult run(const QuantumCircuit& circuit, int shots = 1024);
 
   /// Final state as a DD, together with the package that owns it. The
@@ -74,7 +74,7 @@ class DDSimulator {
   UnitaryHandle unitary(const QuantumCircuit& circuit);
 
  private:
-  Rng rng_;
+  std::uint64_t seed_;
 };
 
 }  // namespace qtc::dd

@@ -200,71 +200,48 @@ DensityMatrix DensityMatrix::partial_trace(const std::vector<int>& keep) const {
   return out;
 }
 
-std::uint64_t DensityMatrix::sample(Rng& rng) const {
-  const auto p = probabilities();
-  double r = rng.uniform();
-  double acc = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    acc += std::max(0.0, p[i]);
-    if (r < acc) return i;
-  }
-  return p.size() - 1;
-}
+namespace {
 
-DensityMatrixSimulator::Result DensityMatrixSimulator::run(
-    const QuantumCircuit& circuit, const NoiseModel& noise, int shots) {
-  if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
-  Result result;
-  std::vector<std::pair<int, int>> qubit_to_clbit;
-  for (const auto& op : circuit.ops())
-    if (op.kind == OpKind::Measure)
-      qubit_to_clbit.emplace_back(op.qubits[0], op.clbits[0]);
-  result.state = evolve(circuit, noise);
-  const int ncl = circuit.num_clbits();
-  if (qubit_to_clbit.empty()) {
-    result.counts.shots = shots;
-    return result;
-  }
-  // Shots sample the cumulative diagonal by binary search; one search is
-  // cheaper than a fork, so up to 256 shots stay serial.
-  const std::vector<double> p = result.state.probabilities();
-  std::vector<double> cdf(p.size());
-  double acc = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    acc += std::max(0.0, p[i]);
-    cdf[i] = acc;
-  }
-  result.counts = sim::sample_shots(
-      seed_, shots,
-      [&] {
-        return [&](std::uint64_t, Rng& rng) {
-          const std::uint64_t basis = sim::sample_cdf(cdf, rng.uniform());
-          std::string key(ncl, '0');
-          for (auto [q, c] : qubit_to_clbit) {
-            const int value = noise.apply_readout(
-                q, static_cast<int>((basis >> q) & 1), rng);
-            if (value) key[ncl - 1 - c] = '1';
-          }
-          return key;
-        };
-      },
-      /*serial_cutoff=*/256);
-  return result;
-}
-
-DensityMatrix DensityMatrixSimulator::evolve(const QuantumCircuit& circuit,
-                                             const NoiseModel& noise) {
+/// rho of a circuit already checked for a final layer: measurements and
+/// barriers are skipped, every other op is an unconditioned gate.
+DensityMatrix evolve_gates(const QuantumCircuit& circuit,
+                           const NoiseModel& noise) {
   DensityMatrix rho(circuit.num_qubits());
   for (const auto& op : circuit.ops()) {
     if (op.kind == OpKind::Barrier || op.kind == OpKind::Measure) continue;
-    if (op.kind == OpKind::Reset || op.conditioned())
-      throw std::invalid_argument(
-          "density matrix: reset/conditioned circuits unsupported");
     rho.apply(op);
     if (const KrausChannel* channel = noise.find_error(op))
       rho.apply_channel(*channel, op.qubits);
   }
   return rho;
+}
+
+}  // namespace
+
+DensityMatrixSimulator::Result DensityMatrixSimulator::run(
+    const QuantumCircuit& circuit, const NoiseModel& noise, int shots) {
+  if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
+  const sim::FinalLayer layer = sim::final_layer(circuit);
+  layer.require("density matrix");
+  Result result;
+  result.state = evolve_gates(circuit, noise);
+  // Prefix sums of the diagonal, rounding residue below 0 clamped.
+  std::vector<double> cdf = result.state.probabilities();
+  double acc = 0;
+  for (double& p : cdf) p = acc += std::max(0.0, p);
+  result.counts = sim::sample_final_layer(
+      layer, seed_, shots,
+      [&](Rng& rng) { return sim::sample_cdf(cdf, rng.uniform()); },
+      [&](int q, int bit, Rng& rng) {
+        return noise.apply_readout(q, bit, rng);
+      });
+  return result;
+}
+
+DensityMatrix DensityMatrixSimulator::evolve(const QuantumCircuit& circuit,
+                                             const NoiseModel& noise) {
+  sim::final_layer(circuit).require("density matrix");
+  return evolve_gates(circuit, noise);
 }
 
 }  // namespace qtc::noise

@@ -9,7 +9,6 @@
 
 #include "core/circuit.hpp"
 #include "core/matrix.hpp"
-#include "core/rng.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/result.hpp"
 
@@ -45,8 +44,6 @@ class DensityMatrix {
   double expectation_pauli(const std::string& paulis) const;
   /// Reduce to the listed qubits (ascending order kept).
   DensityMatrix partial_trace(const std::vector<int>& keep) const;
-  /// Sample a basis state from the diagonal.
-  std::uint64_t sample(Rng& rng) const;
 
  private:
   /// Apply an arbitrary (not necessarily unitary) matrix on the left:
@@ -58,13 +55,14 @@ class DensityMatrix {
   Matrix rho_;
 };
 
-/// Exact noisy executor. Measurements must form a final layer; reset and
-/// classical conditioning are not supported (use TrajectorySimulator).
-/// Superoperator application parallelizes over row/column blocks on the
-/// core/parallel.hpp pool. Shots sample the final diagonal through
-/// sim::sample_shots, the seeded shot loop every engine shares (serial
-/// below 256 shots), so fixed-seed counts are thread-count invariant and
-/// repeated run() calls on one simulator are identical.
+/// Exact noisy executor. Measurements must form a final layer
+/// (sim::final_layer): run() and evolve() throw std::invalid_argument on a
+/// gate or second measurement on a measured wire, a reset or a conditioned
+/// op (use TrajectorySimulator). Superoperator application parallelizes
+/// over row/column blocks on the core/parallel.hpp pool. Shots sample the
+/// final diagonal and readout errors through sim::sample_final_layer, one
+/// stream seeded from `seed` per call, so fixed-seed counts are thread-count
+/// invariant and repeated run() calls on one simulator are identical.
 class DensityMatrixSimulator {
  public:
   explicit DensityMatrixSimulator(std::uint64_t seed = 0xC0FFEE)
@@ -82,7 +80,7 @@ class DensityMatrixSimulator {
                        const NoiseModel& noise);
 
  private:
-  std::uint64_t seed_;  // base for the per-shot derived streams
+  std::uint64_t seed_;
 };
 
 }  // namespace qtc::noise

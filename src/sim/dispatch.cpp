@@ -2,10 +2,10 @@
 
 #include <array>
 #include <atomic>
-#include <vector>
 
 #include "core/gates.hpp"
 #include "core/knobs.hpp"
+#include "sim/result.hpp"
 #include "sim/stabilizer.hpp"
 
 namespace qtc::sim {
@@ -53,18 +53,15 @@ void set_dispatch_enabled(int enabled) {
 CircuitProfile profile_circuit(const QuantumCircuit& circuit) {
   CircuitProfile p;
   p.num_qubits = circuit.num_qubits();
-  std::vector<bool> measured(static_cast<std::size_t>(circuit.num_qubits()),
-                             false);
+  MeasureLast rule(circuit.num_qubits());
   for (const Operation& op : circuit.ops()) {
     if (op.conditioned()) p.has_conditionals = true;
+    if (rule.visit(op) >= 0) p.measurements_final = false;
     switch (op.kind) {
       case OpKind::Barrier:
         continue;  // no wire interaction; never blocks any engine
       case OpKind::Measure:
         p.has_measurements = true;
-        if (measured[static_cast<std::size_t>(op.qubits[0])])
-          p.measurements_final = false;  // second measurement of a wire
-        measured[static_cast<std::size_t>(op.qubits[0])] = true;
         continue;
       case OpKind::Reset:
         p.has_reset = true;
@@ -77,8 +74,6 @@ CircuitProfile profile_circuit(const QuantumCircuit& circuit) {
       if (op.qubits.size() >= 2) ++p.entangling_gates;
       if (!is_clifford_op(op)) p.clifford_only = false;
     }
-    for (Qubit q : op.qubits)
-      if (measured[static_cast<std::size_t>(q)]) p.measurements_final = false;
   }
   return p;
 }

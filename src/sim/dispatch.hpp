@@ -47,11 +47,11 @@ struct CircuitProfile {
   bool has_conditionals = false;
   bool has_measurements = false;
   /// True when no gate or measurement acts on a wire after that wire has
-  /// been measured — the DD engine's measurement contract.
+  /// been measured: sim::MeasureLast (sim/result.hpp).
   bool measurements_final = true;
 
-  /// The DD engine can run this circuit at all (contract of
-  /// dd::DDSimulator: final-layer measurements, no reset/conditionals).
+  /// The circuit has a final measurement layer (sim::final_layer), the
+  /// contract of dd::DDSimulator: measure-last wires, no reset/conditionals.
   bool dd_compatible() const {
     return measurements_final && !has_reset && !has_conditionals;
   }

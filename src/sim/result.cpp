@@ -1,6 +1,7 @@
 #include "sim/result.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace qtc::sim {
 
@@ -25,13 +26,29 @@ std::string bits_key(const std::vector<int>& clbits) {
   return s;
 }
 
-std::string measured_key(
-    std::uint64_t basis,
-    const std::vector<std::pair<int, int>>& qubit_to_clbit, int num_clbits) {
-  std::string s(num_clbits, '0');
-  for (auto [q, c] : qubit_to_clbit)
-    if ((basis >> q) & 1) s[num_clbits - 1 - c] = '1';
-  return s;
+void FinalLayer::require(const char* api) const {
+  if (!ok()) throw std::invalid_argument(std::string(api) + ": " + violation);
+}
+
+FinalLayer final_layer(const QuantumCircuit& circuit) {
+  FinalLayer layer;
+  layer.clbit_qubit.assign(static_cast<std::size_t>(circuit.num_clbits()), -1);
+  MeasureLast rule(circuit.num_qubits());
+  for (const Operation& op : circuit.ops()) {
+    if (op.conditioned() || op.kind == OpKind::Reset) {
+      layer.violation = op.conditioned() ? "conditioned ops are not supported"
+                                         : "reset is not supported";
+      return layer;
+    }
+    if (const int q = rule.visit(op); q >= 0) {
+      layer.violation = "qubit " + std::to_string(q) +
+                        " is used after it is measured (measure-last only)";
+      return layer;
+    }
+    if (op.kind == OpKind::Measure)
+      layer.clbit_qubit[op.clbits[0]] = op.qubits[0];
+  }
+  return layer;
 }
 
 }  // namespace qtc::sim

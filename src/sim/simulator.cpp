@@ -121,25 +121,9 @@ Counts replay_shots(const ShotPlan& plan, std::uint64_t seed, int shots,
   });
 }
 
-bool StatevectorSimulator::sampling_friendly(
-    const QuantumCircuit& circuit) const {
-  bool seen_measure = false;
-  for (const auto& op : circuit.ops()) {
-    if (op.conditioned() || op.kind == OpKind::Reset) return false;
-    if (op.kind == OpKind::Measure) {
-      seen_measure = true;
-      continue;
-    }
-    if (op.kind == OpKind::Barrier) continue;
-    if (seen_measure) return false;  // gate after a measurement
-  }
-  return true;
-}
-
 RunResult StatevectorSimulator::run(const QuantumCircuit& circuit, int shots) {
   if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
   RunResult result;
-  const int ncl = circuit.num_clbits();
 
   if (!circuit.has_measurements()) {
     Statevector sv = statevector(circuit);
@@ -152,22 +136,18 @@ RunResult StatevectorSimulator::run(const QuantumCircuit& circuit, int shots) {
   // thousands of per-shot replays) reuse it, amortizing the planning cost.
   FusedCircuit plan = fuse_circuit(circuit);
 
-  if (sampling_friendly(circuit)) {
-    // Simulate the unitary prefix once, then sample the measurement layer
-    // from the precomputed cumulative distribution (binary search per shot
-    // instead of an O(2^n) scan).
+  const FinalLayer layer = final_layer(circuit);
+  if (layer.ok()) {
+    // Simulate the gates once, then sample the measurement layer from the
+    // precomputed cumulative distribution (binary search per shot instead
+    // of an O(2^n) scan).
     Statevector sv(circuit.num_qubits());
     apply_unitaries(sv, plan);
-    std::vector<std::pair<int, int>> qubit_to_clbit;  // (qubit, clbit)
-    for (const auto& op : circuit.ops())
-      if (op.kind == OpKind::Measure)
-        qubit_to_clbit.emplace_back(op.qubits[0], op.clbits[0]);
     result.statevector.assign(sv.amplitudes().begin(), sv.amplitudes().end());
     const std::vector<double> cdf = sv.cumulative_probabilities();
-    for (int s = 0; s < shots; ++s) {
-      const std::uint64_t basis = sample_cdf(cdf, rng_.uniform());
-      result.counts.record(measured_key(basis, qubit_to_clbit, ncl));
-    }
+    result.counts = sample_final_layer(layer, seed_, shots, [&](Rng& rng) {
+      return sample_cdf(cdf, rng.uniform());
+    });
     return result;
   }
 
@@ -175,7 +155,7 @@ RunResult StatevectorSimulator::run(const QuantumCircuit& circuit, int shots) {
   ShotPlan replay;
   replay.ops = std::move(plan.ops);
   replay.num_qubits = circuit.num_qubits();
-  replay.num_clbits = ncl;
+  replay.num_clbits = circuit.num_clbits();
   replay.cregs = &circuit.cregs();
   result.counts = replay_shots(replay, seed_, shots, &result.statevector);
   return result;

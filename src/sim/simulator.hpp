@@ -4,6 +4,9 @@
 // "unitary_simulator": accumulates a circuit's full 2^n x 2^n matrix.
 // Its shot-by-shot path and noise::TrajectorySimulator share one replay,
 // replay_shots, which takes Kraus operators and readout errors as data.
+// A circuit whose measurements form a final layer skips the replay: it is
+// simulated once and sampled through sim::sample_final_layer, the sampler
+// the DD and density-matrix engines share.
 
 #include <cstdint>
 #include <vector>
@@ -64,18 +67,19 @@ struct RunResult {
 class StatevectorSimulator {
  public:
   explicit StatevectorSimulator(std::uint64_t seed = 0xC0FFEE)
-      : seed_(seed), rng_(seed) {}
+      : seed_(seed) {}
 
   /// Execute with sampling. The circuit is first compiled into a fused
   /// kernel plan (see sim/fusion.hpp; QTC_FUSION / QTC_FUSION_MAX_QUBITS).
-  /// Circuits whose measurements form a final layer (no conditionals/resets)
-  /// are simulated once and sampled `shots` times from a precomputed
-  /// cumulative distribution, drawing from the simulator's own RNG (a
-  /// second run() continues it). Anything else goes through replay_shots
-  /// with no noise: per-shot streams derived from (seed, shot index), so a
-  /// repeated run() gives the same counts. Either way the counts for a fixed
-  /// seed are identical whatever QTC_NUM_THREADS says. Circuits without any
-  /// measurement yield empty counts.
+  /// A circuit with a final measurement layer (sim::final_layer: measure-last
+  /// wires, no reset, no conditional) is simulated once and its shots are
+  /// drawn from the precomputed cumulative distribution through
+  /// sample_final_layer, one stream seeded from `seed` per call. Anything
+  /// else goes through replay_shots with no noise: per-shot streams derived
+  /// from (seed, shot index). Either way a repeated run() gives the same
+  /// counts, and the counts for a fixed seed are identical whatever
+  /// QTC_NUM_THREADS says. Circuits without any measurement yield empty
+  /// counts.
   RunResult run(const QuantumCircuit& circuit, int shots = 1024);
 
   /// Final statevector of the unitary part of the circuit (measurements,
@@ -83,9 +87,7 @@ class StatevectorSimulator {
   Statevector statevector(const QuantumCircuit& circuit);
 
  private:
-  bool sampling_friendly(const QuantumCircuit& circuit) const;
-  std::uint64_t seed_;  // base for the per-shot derived streams
-  Rng rng_;
+  std::uint64_t seed_;
 };
 
 /// Builds the unitary matrix of a (measurement-free) circuit by applying its

@@ -5,7 +5,11 @@
 #include <cmath>
 
 #include "dd/simulator.hpp"
+#include "noise/density_matrix.hpp"
+#include "noise/noise_model.hpp"
+#include "noise/trajectory.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stabilizer.hpp"
 
 namespace qtc::dd {
 namespace {
@@ -310,6 +314,19 @@ TEST(DDSimulator, AllowsGatesOnUnmeasuredWiresAfterOtherMeasures) {
   DDSimulator sim(5);
   const DDRunResult r = sim.run(qc, 100);
   EXPECT_EQ(r.counts.shots, 100);
+}
+
+TEST(DDSimulator, SharedClbitReadsTheLastWriteOnEveryEngine) {
+  // q1 writes c0 after q0 does, so c0 reads q1's 0 on all five engines.
+  QuantumCircuit qc(2, 1);
+  qc.x(0).measure(0, 0).measure(1, 0);
+  const noise::NoiseModel none;
+  EXPECT_EQ(sim::StatevectorSimulator(3).run(qc, 50).counts.count("0"), 50);
+  EXPECT_EQ(noise::TrajectorySimulator(3).run(qc, none, 50).count("0"), 50);
+  const auto dm = noise::DensityMatrixSimulator(3).run(qc, none, 50);
+  EXPECT_EQ(dm.counts.count("0"), 50);
+  EXPECT_EQ(DDSimulator(3).run(qc, 50).counts.count("0"), 50);
+  EXPECT_EQ(sim::StabilizerSimulator(3).run(qc, 50).count("0"), 50);
 }
 
 TEST(DDPackage, DotExportRendersNegativeImaginaryParts) {

@@ -25,6 +25,7 @@
 #include "noise/noise_model.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/fusion.hpp"
+#include "sim/result.hpp"
 #include "sim/simd.hpp"
 #include "sim/simulator.hpp"
 
@@ -74,6 +75,34 @@ TEST(Dispatch, MidCircuitMeasurementIsNeverDDEligible) {
   with_reset.h(0).reset(0).h(1).measure_all();
   EXPECT_FALSE(sim::profile_circuit(with_reset).dd_compatible());
   EXPECT_NE(sim::choose_engine(with_reset).engine, Engine::DecisionDiagram);
+}
+
+TEST(Dispatch, ProfileAndFinalLayerApplyOneRule) {
+  // Dispatch routes to DD exactly when the DD engine accepts the circuit:
+  // dd_compatible() is sim::final_layer's verdict, case by case.
+  const auto agree = [](const QuantumCircuit& qc, bool want) {
+    EXPECT_EQ(sim::profile_circuit(qc).dd_compatible(), want);
+    EXPECT_EQ(sim::final_layer(qc).ok(), want);
+  };
+  QuantumCircuit other_wire(2, 2);
+  other_wire.h(0).measure(0, 0).barrier().h(1).measure(1, 1);
+  agree(other_wire, true);
+  QuantumCircuit shared_clbit(2, 1);
+  shared_clbit.x(0).measure(0, 0).measure(1, 0);
+  agree(shared_clbit, true);
+  QuantumCircuit twice(1, 2);
+  twice.h(0).measure(0, 0).measure(0, 1);
+  agree(twice, false);
+  QuantumCircuit gate_after(2, 2);
+  gate_after.h(0).measure(0, 0).cx(1, 0);
+  agree(gate_after, false);
+  QuantumCircuit reset(2, 2);
+  reset.reset(1).h(0).measure_all();
+  agree(reset, false);
+  QuantumCircuit conditioned(2, 2);
+  conditioned.h(0).measure(0, 0);
+  conditioned.x(1).c_if(0, 1);
+  agree(conditioned, false);
 }
 
 TEST(Dispatch, CliffordCircuitChoosesStabilizer) {

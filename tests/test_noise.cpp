@@ -276,6 +276,30 @@ TEST(DensityMatrix, RejectsResetAndConditioned) {
   EXPECT_THROW(sim.evolve(with_reset, none), std::invalid_argument);
 }
 
+TEST(DensityMatrix, RejectsGateAfterMeasureOnSameWire) {
+  // Skipping the measurement would evolve h q0; h q0 and return 00 every
+  // shot: the engine has no collapse path, so it must reject the circuit.
+  const NoiseModel none;
+  DensityMatrixSimulator sim(7);
+  QuantumCircuit gate_after(1, 2);
+  gate_after.h(0).measure(0, 0).h(0).measure(0, 1);
+  EXPECT_THROW(sim.run(gate_after, none, 10), std::invalid_argument);
+  EXPECT_THROW(sim.evolve(gate_after, none), std::invalid_argument);
+  QuantumCircuit twice(1, 2);
+  twice.h(0).measure(0, 0).measure(0, 1);
+  EXPECT_THROW(sim.run(twice, none, 10), std::invalid_argument);
+  EXPECT_THROW(sim.evolve(twice, none), std::invalid_argument);
+}
+
+TEST(DensityMatrix, AllowsGatesOnUnmeasuredWiresAfterOtherMeasures) {
+  QuantumCircuit qc(2, 2);
+  qc.x(0).measure(0, 0);
+  qc.x(1).measure(1, 1);
+  DensityMatrixSimulator sim(5);
+  const auto result = sim.run(qc, NoiseModel{}, 100);
+  EXPECT_EQ(result.counts.count("11"), 100);
+}
+
 // --- trajectory simulator ----------------------------------------------------
 
 TEST(Trajectory, NoiselessMatchesIdealSimulator) {

@@ -1,15 +1,20 @@
-// The seeded shot loop (sim::sample_shots) and the one statevector replay
-// (sim::replay_shots) every engine now goes through.
+// The two samplers every engine goes through: the seeded per-shot loop
+// (sim::sample_shots, with the one statevector replay sim::replay_shots) and
+// final-layer sampling (sim::sample_final_layer).
 //
 // * The ideal statevector engine's shot-by-shot path must reproduce the
 //   full-width trajectory oracle (tests/reference_trajectory.hpp) under an
 //   empty noise model, counts bitwise, over a seeded corpus of dynamic
 //   circuits with idle qubits, fusion off and on.
-// * One determinism check runs over the five engine paths that sample
-//   shots: statevector per-shot, trajectory, density matrix, stabilizer
-//   per-shot and tableau-once. Counts are equal at 1 and 4 threads, on a
-//   repeated run() of one simulator, and a longer run's histogram holds a
-//   shorter run's outcome for outcome (shot prefix stability).
+// * One determinism check runs over the seven engine paths that sample
+//   shots: statevector per-shot and final-layer, trajectory, density
+//   matrix, decision diagram, stabilizer per-shot and tableau-once. Counts
+//   are equal at 1 and 4 threads, on a repeated run() of one simulator, and
+//   a longer run's histogram holds a shorter run's outcome for outcome
+//   (shot prefix stability).
+// * The first run() of a fresh statevector or DD simulator on a final-layer
+//   corpus gives pinned counts, recorded before the two engines shared
+//   final-layer sampling.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +28,7 @@
 #include "core/circuit.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
+#include "dd/simulator.hpp"
 #include "noise/channel.hpp"
 #include "noise/density_matrix.hpp"
 #include "noise/noise_model.hpp"
@@ -174,12 +180,28 @@ QuantumCircuit clifford_circuit(bool conditioned) {
   return qc;
 }
 
+/// A final measurement layer with random outcomes.
+QuantumCircuit final_layer_circuit() {
+  QuantumCircuit qc(4, 4);
+  qc.h(0).cx(0, 1).ry(0.7, 2).t(1).h(1);
+  qc.cx(1, 3).rz(0.4, 3).h(3).cx(2, 3);
+  qc.measure_all();
+  return qc;
+}
+
 const EnginePath kEnginePaths[] = {
     {"statevector_per_shot",
      [] {
        return std::function<sim::Counts(int)>(
            [s = sim::StatevectorSimulator(kSeed)](int shots) mutable {
              return s.run(dynamic_feature_circuit(), shots).counts;
+           });
+     }},
+    {"statevector_final_layer",
+     [] {
+       return std::function<sim::Counts(int)>(
+           [s = sim::StatevectorSimulator(kSeed)](int shots) mutable {
+             return s.run(final_layer_circuit(), shots).counts;
            });
      }},
     {"trajectory",
@@ -198,6 +220,13 @@ const EnginePath kEnginePaths[] = {
              return s.run(qc, feature_noise(), shots).counts;
            });
      }},
+    {"decision_diagram",
+     [] {
+       return std::function<sim::Counts(int)>(
+           [s = dd::DDSimulator(kSeed)](int shots) mutable {
+             return s.run(final_layer_circuit(), shots).counts;
+           });
+     }},
     {"stabilizer_per_shot",
      [] {
        return std::function<sim::Counts(int)>(
@@ -213,6 +242,104 @@ const EnginePath kEnginePaths[] = {
            });
      }},
 };
+
+// --- pinned first-run counts of the final-layer engines ---------------------
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char ch : text) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over "bits:count\n" lines of a histogram, in key order.
+std::uint64_t counts_digest(const sim::Counts& counts) {
+  std::string text;
+  for (const auto& [bits, count] : counts.histogram)
+    text += bits + ":" + std::to_string(count) + "\n";
+  return fnv1a(text);
+}
+
+/// For each width 2..12: a GHZ, and a seeded random unitary prefix, each
+/// followed by measure_all.
+std::vector<QuantumCircuit> final_layer_corpus() {
+  std::vector<QuantumCircuit> corpus;
+  Rng gen(0xF1A7);
+  for (int n = 2; n <= 12; ++n) {
+    QuantumCircuit ghz(n, n);
+    ghz.h(0);
+    for (int q = 1; q < n; ++q) ghz.cx(q - 1, q);
+    ghz.measure_all();
+    corpus.push_back(ghz);
+    QuantumCircuit prefix(n, n);
+    for (int g = 0; g < 6 * n; ++g) {
+      const int q = static_cast<int>(gen.index(n));
+      switch (gen.index(6)) {
+        case 0: prefix.h(q); break;
+        case 1: prefix.ry(gen.uniform(-3, 3), q); break;
+        case 2: prefix.rz(gen.uniform(-3, 3), q); break;
+        case 3: prefix.t(q); break;
+        case 4: prefix.sx(q); break;
+        default: {
+          const int t = (q + 1 + static_cast<int>(gen.index(n - 1))) % n;
+          prefix.cx(q, t);
+        }
+      }
+    }
+    prefix.measure_all();
+    corpus.push_back(prefix);
+  }
+  return corpus;
+}
+
+/// Digests of the first run() of a fresh simulator per corpus circuit: the
+/// statevector engine's, then the DD engine's.
+std::vector<std::uint64_t> first_run_digests() {
+  std::vector<std::uint64_t> digests;
+  std::uint64_t seed = 0x900;
+  for (const QuantumCircuit& qc : final_layer_corpus()) {
+    ++seed;
+    digests.push_back(
+        counts_digest(sim::StatevectorSimulator(seed).run(qc, 1024).counts));
+    digests.push_back(
+        counts_digest(dd::DDSimulator(seed).run(qc, 1024).counts));
+  }
+  return digests;
+}
+
+TEST(ShotSampler, FinalLayerFirstRunCountsArePinned) {
+  // FNV-1a digests recorded with the statevector engine's and the DD
+  // engine's own final-layer samplers, which drew from a member RNG; the
+  // shared sampler's one run-local stream starts from the same seed, so a
+  // fresh simulator's counts stay bitwise. Pairs: statevector, DD.
+  const std::vector<std::uint64_t> want = {
+      0xab5007a43919a247ULL, 0x042ec904a101c6e6ULL,
+      0xd55d0c8762cd0923ULL, 0xb61d7d1fbb696abaULL,
+      0x8e4fc1c4a8509327ULL, 0xd66485c327a88fbcULL,
+      0xf84627a7d33b2990ULL, 0x653ef40ef0d8b244ULL,
+      0x25e47a2b9c8979c9ULL, 0xfeef6b31636abc05ULL,
+      0xf640140613d5e11bULL, 0x12c4dbac8cb084dbULL,
+      0xc2835a69455ff742ULL, 0xb2cbe883587d2d1cULL,
+      0x1ea910525db31e23ULL, 0xd4d8c908509b5aabULL,
+      0x1598a7c2ded62310ULL, 0x1a2fc521a240ce05ULL,
+      0xc8909b967fbc3575ULL, 0xc2b4988bf780c6fdULL,
+      0x98c33bcdbb16759fULL, 0xce1cd466fbe40a2cULL,
+      0xec3c53c940ac856fULL, 0x70a61917054690c1ULL,
+      0xaaca5c5171be6c21ULL, 0xe83e3f4c79c23009ULL,
+      0x175237880a03678bULL, 0x996b25fd6bea3571ULL,
+      0x37af6020f757e45cULL, 0xc4db68419ce096a9ULL,
+      0xeaf54ecb89845806ULL, 0x1ce824fa9184302bULL,
+      0xccc8ca50c3717783ULL, 0xc71af590b2def678ULL,
+      0x33dcf1a51eb0ba11ULL, 0x82c38dd29d1f269dULL,
+      0x0077da8a26038f8fULL, 0x0077da8a26038f8fULL,
+      0x77ed0eab6cd29157ULL, 0x4c37e1b5b75ce7acULL,
+      0x431d0024c45bef95ULL, 0x694da3d4e038a1c0ULL,
+      0x6f43d3bdd49a6e14ULL, 0xf2a7300b06a51b7fULL,
+  };
+  EXPECT_EQ(first_run_digests(), want);
+}
 
 class ShotDeterminism : public ::testing::TestWithParam<EnginePath> {};
 
@@ -237,11 +364,11 @@ TEST_P(ShotDeterminism, RepeatedRunIsIdentical) {
 }
 
 TEST_P(ShotDeterminism, ShotPrefixIsStable) {
-  // Shot s sees the same stream whatever the total, so the first 100 shots
-  // of a 600-shot run are the 100-shot run: every outcome count of the
-  // short run is covered by the long one. 100 shots stay under the density
-  // matrix's serial cutoff, so this also pits its serial loop against the
-  // parallel one.
+  // Shot s sees the same draws whatever the total (its own stream on the
+  // per-shot paths, the same stretch of the call's one stream on the
+  // final-layer paths), so the first 100 shots of a 600-shot run are the
+  // 100-shot run: every outcome count of the short run is covered by the
+  // long one.
   KnobGuard guard;
   parallel::set_num_threads(4);
   const sim::Counts small = GetParam().make()(100);
