@@ -63,16 +63,29 @@ Layout noise_aware_layout(const QuantumCircuit& circuit,
   layout.l2p.assign(nl, -1);
   layout.p2l.assign(np, -1);
 
-  auto edge_quality = [&](int p, int q) {
-    // 1 - error for coupled pairs, 0 otherwise.
-    if (!coupling.connected(p, q)) return 0.0;
-    return 1.0 - backend.cx_error(p, q);
+  // 1 - cx_error per directed coupler, laid out like the neighbor lists:
+  // quality[first[p] + k] scores (p, neighbors(p)[k]) in that orientation.
+  // O(E) per call; coupling is tested by the inline distance(p, q) == 1.
+  std::vector<int> first(np + 1, 0);
+  for (int p = 0; p < np; ++p)
+    first[p + 1] = first[p] + static_cast<int>(coupling.neighbors(p).size());
+  std::vector<double> quality(first[np]);
+  for (int p = 0; p < np; ++p) {
+    const auto& nbrs = coupling.neighbors(p);
+    for (std::size_t k = 0; k < nbrs.size(); ++k)
+      quality[first[p] + k] = 1.0 - backend.cx_error(p, nbrs[k]);
+  }
+  // 1 - error of the coupled pair (p, q), in that orientation.
+  auto coupled_quality = [&](int p, int q) {
+    const auto& nbrs = coupling.neighbors(p);
+    return quality[first[p] +
+                   (std::find(nbrs.begin(), nbrs.end(), q) - nbrs.begin())];
   };
   // Quality of a physical qubit in isolation: its best incident edges.
   auto site_quality = [&](int p) {
     double best = 0;
-    for (int nb : coupling.neighbors(p))
-      best = std::max(best, edge_quality(p, nb));
+    for (int k = first[p]; k < first[p + 1]; ++k)
+      best = std::max(best, quality[k]);
     return best + (1.0 - cal.readout_error[p]) * 0.01;
   };
 
@@ -81,8 +94,9 @@ Layout noise_aware_layout(const QuantumCircuit& circuit,
   // A pair term is scored in the orientation (l2p[lo], l2p[hi]) because
   // cx_error can differ by direction.
   auto pair_term = [&](double w, int plo, int phi) {
-    if (coupling.connected(plo, phi)) return w * edge_quality(plo, phi);
-    return -(0.3 * w * (coupling.distance(plo, phi) - 1));
+    const int d = coupling.distance(plo, phi);
+    if (d == 1) return w * coupled_quality(plo, phi);
+    return -(0.3 * w * (d - 1));
   };
   auto readout_term = [&](int p) {
     return 0.01 * (1.0 - cal.readout_error[p]);
@@ -187,9 +201,10 @@ Layout noise_aware_layout(const QuantumCircuit& circuit,
         if (layout.l2p[pm.m] == -1) continue;
         has_placed_neighbor = true;
         const int q = layout.l2p[pm.m];
-        score += pm.w * edge_quality(p, q);
+        const int d = coupling.distance(p, q);
+        score += pm.w * (d == 1 ? coupled_quality(p, q) : 0.0);
         // Mild pull towards partners even when not directly coupled.
-        score -= 0.05 * pm.w * coupling.distance(p, q);
+        score -= 0.05 * pm.w * d;
       }
       if (!has_placed_neighbor) score = site_quality(p);
       if (score > best_score) {

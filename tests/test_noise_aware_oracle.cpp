@@ -3,6 +3,8 @@
 // touches, and must still return the oracle's layout entry for entry. The
 // last test pins the end-to-end effect: fidelity-aware Eagle transpiles
 // emit the same QASM bytes as before the hill climb became incremental.
+// Those transpiles run the SABRE portfolio's trials on the pool, so the
+// file carries the `parallel` label for the TSan preset.
 
 #include "map/noise_aware.hpp"
 

@@ -1,8 +1,11 @@
 // SabreMapper::run against its rebuild-every-step oracle: the library keeps
 // the front layer's gate records, touch lists and lookahead window across
-// SWAPs and patches only the records on the swapped qubits, and must still
-// return the oracle's MappingResult (events, layouts, source_index, trial
-// bookkeeping) on every device, with fidelity-aware scoring off and on.
+// SWAPs, patches only the records on the swapped qubits and reuses each
+// coupler slot's candidate delta sums until a SWAP dirties an endpoint, and
+// must still return the oracle's MappingResult (events, layouts,
+// source_index, trial bookkeeping) on every device, with fidelity-aware
+// scoring off and on. The trials run on the pool and share the run's slot
+// table, so the file carries the `parallel` label for the TSan preset.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include "ignis/quantum_volume.hpp"
 #include "map/mapping.hpp"
 #include "reference_sabre.hpp"
+#include "transpiler/transpile.hpp"
 
 namespace qtc::map {
 namespace {
@@ -29,10 +33,30 @@ struct Device {
   arch::Backend backend;
 };
 
+/// A 4x4 grid from an edge list with alternating coupler orientations: its
+/// four inner qubits have degree 4, so candidate slots are looked up from
+/// both ends of neighbor lists longer than heavy-hex's.
+arch::CouplingMap grid4x4() {
+  std::vector<std::pair<int, int>> edges;
+  for (int r = 0; r < 4; ++r)
+    for (int c = 0; c < 4; ++c) {
+      const int q = 4 * r + c;
+      if (c + 1 < 4)
+        edges.push_back((r + c) % 2 ? std::make_pair(q + 1, q)
+                                    : std::make_pair(q, q + 1));
+      if (r + 1 < 4)
+        edges.push_back((r + c) % 2 ? std::make_pair(q, q + 4)
+                                    : std::make_pair(q + 4, q));
+    }
+  return arch::CouplingMap(16, edges, "grid4x4");
+}
+
 std::vector<Device> devices() {
   const arch::CouplingMap chain = arch::linear(12);
+  const arch::CouplingMap grid = grid4x4();
   return {{"qx5", arch::qx5_backend()},
           {"linear12", arch::Backend(chain, arch::default_calibration(chain))},
+          {"grid4x4", arch::Backend(grid, arch::default_calibration(grid))},
           {"heavy_hex7", arch::heavy_hex_backend(7)},
           {"heavy_hex13", arch::heavy_hex_backend(13)}};
 }
@@ -163,6 +187,52 @@ TEST(SabreOracle, QftAndQuantumVolume) {
       expect_matches_oracle(aqua::qft(std::min(w, 10)), backend, fidelity,
                             name + " qft");
       expect_matches_oracle(qv, backend, fidelity, name + " qv");
+    }
+  }
+}
+
+/// eagle-compile's random class: H, T, RZ and CX on random qubits.
+QuantumCircuit random_compile_circuit(std::uint64_t seed, int n, int gates) {
+  Rng rng(seed);
+  QuantumCircuit qc(n);
+  for (int g = 0; g < gates; ++g) {
+    const int a = static_cast<int>(rng.index(n));
+    switch (rng.index(4)) {
+      case 0: qc.h(a); break;
+      case 1: qc.t(a); break;
+      case 2: qc.rz(rng.uniform(-PI, PI), a); break;
+      default:
+        qc.cx(a, (a + 1 + static_cast<int>(rng.index(n - 1))) % n);
+    }
+  }
+  return qc;
+}
+
+TEST(SabreOracle, EagleCompileClassMix) {
+  // eagle-compile's nine classes on Eagle, lowered to the router's basis as
+  // transpile hands them to the mapper: random 8/16/32 with 5n gates, QFT
+  // 8/12/20 and QV 8/10/14. The seed draws the random content and the
+  // portfolio's random layouts.
+  const arch::Backend eagle = arch::heavy_hex_backend(7);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    std::vector<std::pair<std::string, QuantumCircuit>> classes;
+    for (int n : {8, 16, 32})
+      classes.emplace_back("random " + std::to_string(n),
+                           random_compile_circuit(seed * 100 + n, n, 5 * n));
+    for (int n : {8, 12, 20})
+      classes.emplace_back("qft " + std::to_string(n), aqua::qft(n));
+    for (int n : {8, 10, 14}) {
+      Rng rng(seed * 100 + n);
+      classes.emplace_back("qv " + std::to_string(n),
+                           ignis::qv_model_circuit(n, rng));
+    }
+    for (const auto& [name, logical] : classes) {
+      const QuantumCircuit qc =
+          transpiler::detail::lower_to_router_basis(logical);
+      for (bool fidelity : {false, true})
+        expect_matches_oracle(qc, eagle, fidelity,
+                              name + " seed " + std::to_string(seed), 4, 20,
+                              0.5, seed);
     }
   }
 }
