@@ -7,7 +7,9 @@
 //
 // A 5-qubit circuit routed onto the 16-qubit QX5 shows trajectory
 // compaction: each shot simulates only the physical qubits the compiled
-// circuit touches, not all 2^16 device amplitudes.
+// circuit touches, not all 2^16 device amplitudes. BM_ExecNoiselessFinalLayer
+// times a noiseless measure-last job through exec::execute against
+// StatevectorSimulator::run: both sample the final layer of one simulation.
 //
 // The artifact prints to stderr so stdout stays machine-readable:
 //   ./bench_noise_parallel --benchmark_format=json > BENCH_noise_parallel.json
@@ -18,12 +20,15 @@
 #include <vector>
 
 #include "arch/backend.hpp"
+#include "arch/coupling_map.hpp"
 #include "bench_common.hpp"
 #include "core/parallel.hpp"
+#include "exec/execute.hpp"
 #include "noise/density_matrix.hpp"
 #include "noise/noise_model.hpp"
 #include "noise/trajectory.hpp"
 #include "sim/fusion.hpp"
+#include "sim/simulator.hpp"
 #include "transpiler/transpile.hpp"
 
 namespace {
@@ -237,6 +242,51 @@ void BM_BackendRun(benchmark::State& state) {
   state.counters["shots"] = options.shots;
 }
 BENCHMARK(BM_BackendRun)->Unit(benchmark::kMillisecond);
+
+/// 10 qubits: 4 layers of RY+T, each followed by a CX chain, then every
+/// qubit measured. Not Clifford and too entangled for the DD engine, so
+/// dispatch leaves it on the statevector engine.
+QuantumCircuit layered_probe() {
+  QuantumCircuit qc(10, 10);
+  for (int layer = 0; layer < 4; ++layer) {
+    for (int q = 0; q < 10; ++q) qc.ry(0.3 + 0.1 * q + 0.2 * layer, q).t(q);
+    for (int q = 0; q < 9; ++q) qc.cx(q, q + 1);
+  }
+  qc.measure_all();
+  return qc;
+}
+
+void BM_ExecNoiselessFinalLayer(benchmark::State& state, bool via_execute) {
+  // A noiseless measure-last job at 1024 shots, through exec::execute on
+  // linear(10) (transpile off, empty model) or StatevectorSimulator::run.
+  // Both simulate once and sample the final layer.
+  const QuantumCircuit qc = layered_probe();
+  const qtc::arch::Backend backend(qtc::arch::linear(10),
+                                   qtc::arch::Calibration{});
+  const qtc::noise::NoiseModel empty;
+  qtc::exec::ExecuteOptions opts;
+  opts.transpile = false;
+  opts.noise_model = &empty;
+  opts.shots = 1024;
+  opts.seed = 7;
+  for (auto _ : state) {
+    if (via_execute) {
+      benchmark::DoNotOptimize(
+          qtc::exec::execute(qc, backend, opts).counts.shots);
+    } else {
+      qtc::sim::StatevectorSimulator sim(7);
+      benchmark::DoNotOptimize(sim.run(qc, opts.shots).counts.shots);
+    }
+  }
+  if (via_execute)
+    state.SetLabel(qtc::sim::engine_name(
+        qtc::exec::execute(qc, backend, opts).engine));
+  state.counters["shots"] = opts.shots;
+}
+BENCHMARK_CAPTURE(BM_ExecNoiselessFinalLayer, execute, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExecNoiselessFinalLayer, statevector_run, false)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

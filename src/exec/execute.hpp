@@ -2,8 +2,11 @@
 // End-to-end noisy execution: the `execute(circ, backend, shots)` call of
 // the paper's Sec. IV. Ties the toolchain layers together — transpile to
 // the backend's coupling map and basis, derive a noise model from its
-// calibration data, and sample shots with the parallel Monte-Carlo
-// trajectory engine — so "running on hardware" is one call. This module
+// calibration data, and sample shots with the trajectory engine — so
+// "running on hardware" is one call. A job on which no Kraus channel fires
+// (an empty model, or readout errors only) with a final measurement layer
+// is simulated once and its shots sampled, as StatevectorSimulator::run
+// does; its counts equal that engine's. This module
 // sits above arch/transpiler/noise in the dependency order; it also
 // provides the out-of-line definition of arch::Backend::run.
 
@@ -60,7 +63,7 @@ struct ExecuteResult {
 };
 
 /// Compile `circuit` for `backend`, attach its noise model, and execute on
-/// the parallel trajectory engine. Counts read through the circuit's
+/// the engine the options and dispatcher pick. Counts read through the circuit's
 /// classical bits, so they are directly comparable with a logical-circuit
 /// simulation. Deterministic for a fixed seed, independent of thread count.
 ExecuteResult execute(const QuantumCircuit& circuit,

@@ -1,11 +1,8 @@
 #include "noise/trajectory.hpp"
 
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "sim/simulator.hpp"
-#include "sim/statevector.hpp"
 
 namespace qtc::noise {
 
@@ -22,33 +19,6 @@ void flush_segment(QuantumCircuit& segment, const sim::FusionConfig& config,
   for (auto& f : fused.ops)
     plan.steps.push_back(TrajectoryPlan::Step{std::move(f), nullptr});
   segment.ops().clear();
-}
-
-/// Relabel `plan` onto the qubits its steps act on and return them in
-/// increasing order: compact qubit i is circuit qubit active[i]. Barrier
-/// passthroughs lose their (unused) operands instead of widening the state.
-std::vector<int> compact_plan(TrajectoryPlan& plan) {
-  const auto operands = [](TrajectoryPlan::Step& step) -> std::vector<int>& {
-    return step.fused.kind == sim::FusedOp::Kind::Op ? step.fused.op.qubits
-                                                     : step.fused.qubits;
-  };
-  std::vector<bool> touched(static_cast<std::size_t>(plan.num_qubits), false);
-  for (TrajectoryPlan::Step& step : plan.steps) {
-    if (step.fused.kind == sim::FusedOp::Kind::Op &&
-        step.fused.op.kind == OpKind::Barrier)
-      step.fused.op.qubits.clear();
-    for (int q : operands(step)) touched[q] = true;
-  }
-  std::vector<int> active;
-  std::vector<int> compact_of(static_cast<std::size_t>(plan.num_qubits), -1);
-  for (int q = 0; q < plan.num_qubits; ++q)
-    if (touched[q]) {
-      compact_of[q] = static_cast<int>(active.size());
-      active.push_back(q);
-    }
-  for (TrajectoryPlan::Step& step : plan.steps)
-    for (int& q : operands(step)) q = compact_of[q];
-  return active;
 }
 
 }  // namespace
@@ -94,31 +64,15 @@ TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
 
 sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
                                      const NoiseModel& noise, int shots) {
-  if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
   TrajectoryPlan plan = compile_trajectory_plan(circuit, noise);
-  // Simulate only the qubits the plan touches; the state sits at their
-  // circuit positions so reductions match the full-width register bit for
-  // bit (DESIGN.md, "Trajectory compaction").
-  std::vector<int> active = compact_plan(plan);
-  const int width = static_cast<int>(active.size());
-  if (width > sim::kMaxStatevectorQubits)
-    throw std::invalid_argument(
-        "trajectory: circuit touches " + std::to_string(width) +
-        " qubits; the statevector engine holds at most " +
-        std::to_string(sim::kMaxStatevectorQubits));
-
-  sim::ShotPlan replay;
+  sim::ShotPlan shot_plan;
   for (TrajectoryPlan::Step& step : plan.steps) {
-    replay.ops.push_back(std::move(step.fused));
-    replay.kraus.push_back(step.channel ? &step.channel->ops : nullptr);
+    shot_plan.ops.push_back(std::move(step.fused));
+    shot_plan.kraus.push_back(step.channel ? &step.channel->ops : nullptr);
   }
-  for (int q : active) replay.readout.push_back(noise.readout_error(q));
-  replay.num_qubits = width;
-  replay.num_clbits = plan.num_clbits;
-  replay.positions = std::move(active);
-  replay.register_width = plan.num_qubits;
-  replay.cregs = &circuit.cregs();
-  return sim::replay_shots(replay, seed_, shots);
+  for (int q = 0; q < circuit.num_qubits(); ++q)
+    shot_plan.readout.push_back(noise.readout_error(q));
+  return sim::run_shot_plan(circuit, std::move(shot_plan), seed_, shots);
 }
 
 }  // namespace qtc::noise

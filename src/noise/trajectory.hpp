@@ -5,21 +5,21 @@
 // full instruction set (measure/reset/conditionals), so it is the
 // stand-in for executing on the "real device" throughout this repo.
 //
-// Execution pipeline (mirroring sim::StatevectorSimulator): the circuit is
-// compiled ONCE into a noise-aware plan — stretches of noiseless unitary
-// gates go through the gate-fusion planner (sim/fusion.hpp) and become fused
-// kernels, while noisy gates, measurements, resets and conditioned
-// operations stay as plan boundaries (a Kraus channel fires after the
-// specific gate it is attached to, so fusion never crosses a noisy gate).
-// Each shot simulates only the qubits some plan step touches, relabelled
-// in increasing order, on a state that keeps its place in the circuit's
-// register so reductions, and hence counts, match the full-width engine
-// bit for bit (DESIGN.md, "Trajectory compaction").
-// The compacted plan runs through sim::replay_shots, the replay the ideal
-// StatevectorSimulator uses too, and so through sim::sample_shots, the
-// seeded shot loop of every engine: trajectory i draws from its own stream
-// seeded by (seed, i), so fixed-seed counts are bitwise identical whatever
-// QTC_NUM_THREADS says, run to run, and whatever the shot count.
+// Execution pipeline: the circuit is compiled ONCE into a noise-aware
+// plan — stretches of noiseless unitary gates go through the gate-fusion
+// planner (sim/fusion.hpp) and become fused kernels, while noisy gates,
+// measurements, resets and conditioned operations stay as plan boundaries
+// (a Kraus channel fires after the specific gate it is attached to, so
+// fusion never crosses a noisy gate). The plan, its channels and the
+// model's readout errors then run through sim::run_shot_plan, the run path
+// of the ideal StatevectorSimulator too: it simulates only the touched
+// qubits, bitwise as the full register would (DESIGN.md, "Trajectory
+// compaction"). A plan in which no channel fires on a circuit with a final
+// measurement layer is simulated once and its shots are sampled, readout
+// errors included, so a noiseless job's counts equal StatevectorSimulator's.
+// Otherwise trajectory i draws from its own stream seeded by (seed, i)
+// through sim::sample_shots. Either way fixed-seed counts are bitwise
+// identical whatever QTC_NUM_THREADS says, run to run.
 //
 // Knobs: the shared QTC_FUSION / QTC_FUSION_MAX_QUBITS and QTC_NUM_THREADS.
 // All fallbacks are bitwise passthroughs.
@@ -72,9 +72,9 @@ class TrajectorySimulator {
  public:
   explicit TrajectorySimulator(std::uint64_t seed = 0xC0FFEE) : seed_(seed) {}
 
-  /// Sample `shots` independent noisy trajectories. Deterministic for a
-  /// fixed seed: repeated calls on the same simulator return identical
-  /// counts, independent of thread count and shot ordering. Throws
+  /// Sample `shots` noisy shots through sim::run_shot_plan. Deterministic
+  /// for a fixed seed: repeated calls on the same simulator return
+  /// identical counts, independent of thread count. Throws
   /// std::invalid_argument when the circuit touches more than
   /// sim::kMaxStatevectorQubits qubits (the register may be wider).
   sim::Counts run(const QuantumCircuit& circuit, const NoiseModel& noise,

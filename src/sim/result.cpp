@@ -1,5 +1,6 @@
 #include "sim/result.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 

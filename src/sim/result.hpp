@@ -4,7 +4,6 @@
 // two samplers every engine fills them through: the seeded per-shot loop,
 // and final-layer sampling, which draws every shot from one final state.
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -126,17 +125,14 @@ struct IdealReadout {
 /// Final-layer sampling: the shots of one call draw, in shot order, from one
 /// Rng(seed) local to the call, so a repeated call repeats at any thread
 /// count. `draw(rng)` samples a basis state of the final state and
-/// `read(q, bit, rng)` returns the bit recorded for qubit q. A layer that
-/// writes no clbit yields empty counts of `shots` shots.
+/// `read(q, bit, rng)` returns the bit recorded for qubit q. A clbit no
+/// measurement writes reads 0, so a layer that writes none records the
+/// all-zero key, as the per-shot engines do.
 template <typename Draw, typename Read = IdealReadout>
 Counts sample_final_layer(const FinalLayer& layer, std::uint64_t seed,
                           int shots, const Draw& draw, const Read& read = {}) {
   Counts counts;
   const std::vector<int>& qubits = layer.clbit_qubit;
-  if (std::all_of(qubits.begin(), qubits.end(), [](int q) { return q < 0; })) {
-    counts.shots = shots;
-    return counts;
-  }
   const int ncl = static_cast<int>(qubits.size());
   std::string key(qubits.size(), '0');
   Rng rng(seed);

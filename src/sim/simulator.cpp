@@ -46,10 +46,10 @@ void sample_kraus(Statevector& sv, const std::vector<Matrix>& kraus,
   sv.normalize();
 }
 
-/// Apply the unitary steps of `plan`: measurements, resets and barriers are
+/// Apply the unitary steps of `ops`: measurements, resets and barriers are
 /// skipped, and a conditioned gate throws (it needs run()).
-void apply_unitaries(Statevector& sv, const FusedCircuit& plan) {
-  for (const auto& f : plan.ops) {
+void apply_unitaries(Statevector& sv, const std::vector<FusedOp>& ops) {
+  for (const auto& f : ops) {
     if (f.kind != FusedOp::Kind::Op) {
       apply_fused_op(sv, f);
     } else if (op_is_unitary(f.op.kind)) {
@@ -101,69 +101,103 @@ std::string replay_one_shot(const ShotPlan& plan, Rng& rng, Statevector& sv,
   return bits_key(clbits);
 }
 
-}  // namespace
-
-Counts replay_shots(const ShotPlan& plan, std::uint64_t seed, int shots,
-                    std::vector<cplx>* last_state) {
-  const auto last = static_cast<std::uint64_t>(shots) - 1;
+/// Run `shots` replays of `plan` under the sample_shots contract.
+Counts replay_shots(const ShotPlan& plan, std::uint64_t seed, int shots) {
   return sample_shots(seed, shots, [&] {
     Statevector sv(plan.num_qubits);
     if (!plan.positions.empty())
       sv.set_register_layout(plan.positions, plan.register_width);
     return [&, sv = std::move(sv), candidate = Statevector(0),
             clbits = std::vector<int>(plan.num_clbits)](
-               std::uint64_t s, Rng& rng) mutable {
-      std::string key = replay_one_shot(plan, rng, sv, candidate, clbits);
-      if (last_state && s == last)
-        last_state->assign(sv.amplitudes().begin(), sv.amplitudes().end());
-      return key;
+               std::uint64_t, Rng& rng) mutable {
+      return replay_one_shot(plan, rng, sv, candidate, clbits);
     };
   });
 }
 
-RunResult StatevectorSimulator::run(const QuantumCircuit& circuit, int shots) {
+/// Relabel `plan` onto the qubits its ops act on, in increasing order:
+/// compact qubit i is circuit qubit plan.positions[i]. Barrier passthroughs
+/// lose their (unused) operands instead of widening the state.
+void compact_plan(ShotPlan& plan, int circuit_qubits) {
+  const auto operands = [](FusedOp& f) -> std::vector<int>& {
+    return f.kind == FusedOp::Kind::Op ? f.op.qubits : f.qubits;
+  };
+  std::vector<bool> touched(static_cast<std::size_t>(circuit_qubits), false);
+  for (FusedOp& f : plan.ops) {
+    if (f.kind == FusedOp::Kind::Op && f.op.kind == OpKind::Barrier)
+      f.op.qubits.clear();
+    for (int q : operands(f)) touched[q] = true;
+  }
+  std::vector<int> compact_of(static_cast<std::size_t>(circuit_qubits), -1);
+  plan.positions.clear();
+  for (int q = 0; q < circuit_qubits; ++q)
+    if (touched[q]) {
+      compact_of[q] = static_cast<int>(plan.positions.size());
+      plan.positions.push_back(q);
+    }
+  for (FusedOp& f : plan.ops)
+    for (int& q : operands(f)) q = compact_of[q];
+  if (!plan.readout.empty()) {
+    std::vector<const ReadoutError*> readout;
+    for (int q : plan.positions) readout.push_back(plan.readout[q]);
+    plan.readout = std::move(readout);
+  }
+  plan.num_qubits = static_cast<int>(plan.positions.size());
+  plan.register_width = circuit_qubits;
+}
+
+/// Simulate the compacted, channel-free `plan` once and draw every shot of
+/// `layer` (circuit clbit -> circuit qubit) from its final state.
+Counts sample_once(const ShotPlan& plan, FinalLayer layer, std::uint64_t seed,
+                   int shots) {
+  Statevector sv(plan.num_qubits);
+  apply_unitaries(sv, plan.ops);
+  // Binary search per shot in the precomputed cumulative distribution
+  // instead of an O(2^n) scan.
+  const std::vector<double> cdf = sv.cumulative_probabilities();
+  for (int& q : layer.clbit_qubit)
+    if (q >= 0)
+      q = static_cast<int>(std::lower_bound(plan.positions.begin(),
+                                            plan.positions.end(), q) -
+                           plan.positions.begin());
+  return sample_final_layer(
+      layer, seed, shots,
+      [&](Rng& rng) { return sample_cdf(cdf, rng.uniform()); },
+      [&](int q, int bit, Rng& rng) {
+        return plan.readout.empty() ? bit
+                                    : apply_readout(plan.readout[q], bit, rng);
+      });
+}
+
+}  // namespace
+
+Counts run_shot_plan(const QuantumCircuit& circuit, ShotPlan plan,
+                     std::uint64_t seed, int shots) {
   if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
-  RunResult result;
+  compact_plan(plan, circuit.num_qubits());
+  if (plan.num_qubits > kMaxStatevectorQubits)
+    throw std::invalid_argument(
+        "run: circuit touches " + std::to_string(plan.num_qubits) +
+        " qubits; the statevector engine holds at most " +
+        std::to_string(kMaxStatevectorQubits));
+  plan.num_clbits = circuit.num_clbits();
+  plan.cregs = &circuit.cregs();
+  if (std::none_of(plan.kraus.begin(), plan.kraus.end(),
+                   [](const auto* k) { return k != nullptr; }))
+    if (FinalLayer layer = final_layer(circuit); layer.ok())
+      return sample_once(plan, std::move(layer), seed, shots);
+  return replay_shots(plan, seed, shots);
+}
 
-  if (!circuit.has_measurements()) {
-    Statevector sv = statevector(circuit);
-    result.statevector.assign(sv.amplitudes().begin(), sv.amplitudes().end());
-    result.counts.shots = shots;
-    return result;
-  }
-
-  // Compile the fused execution plan once; both paths below (single pass or
-  // thousands of per-shot replays) reuse it, amortizing the planning cost.
-  FusedCircuit plan = fuse_circuit(circuit);
-
-  const FinalLayer layer = final_layer(circuit);
-  if (layer.ok()) {
-    // Simulate the gates once, then sample the measurement layer from the
-    // precomputed cumulative distribution (binary search per shot instead
-    // of an O(2^n) scan).
-    Statevector sv(circuit.num_qubits());
-    apply_unitaries(sv, plan);
-    result.statevector.assign(sv.amplitudes().begin(), sv.amplitudes().end());
-    const std::vector<double> cdf = sv.cumulative_probabilities();
-    result.counts = sample_final_layer(layer, seed_, shots, [&](Rng& rng) {
-      return sample_cdf(cdf, rng.uniform());
-    });
-    return result;
-  }
-
-  // General path: replay the compiled plan once per shot.
-  ShotPlan replay;
-  replay.ops = std::move(plan.ops);
-  replay.num_qubits = circuit.num_qubits();
-  replay.num_clbits = circuit.num_clbits();
-  replay.cregs = &circuit.cregs();
-  result.counts = replay_shots(replay, seed_, shots, &result.statevector);
-  return result;
+RunResult StatevectorSimulator::run(const QuantumCircuit& circuit, int shots) {
+  ShotPlan plan;
+  plan.ops = fuse_circuit(circuit).ops;
+  return {run_shot_plan(circuit, std::move(plan), seed_, shots)};
 }
 
 Statevector StatevectorSimulator::statevector(const QuantumCircuit& circuit) {
   Statevector sv(circuit.num_qubits());
-  apply_unitaries(sv, fuse_circuit(circuit));
+  apply_unitaries(sv, fuse_circuit(circuit).ops);
   return sv;
 }
 
@@ -192,7 +226,7 @@ Matrix UnitarySimulator::unitary(const QuantumCircuit& circuit) const {
           std::vector<cplx> e(dim, cplx{0, 0});
           e[j] = 1;
           Statevector col(std::move(e));
-          apply_unitaries(col, plan);
+          apply_unitaries(col, plan.ops);
           for (std::size_t i = 0; i < dim; ++i) u(i, j) = col.amplitude(i);
         }
       },

@@ -2,11 +2,12 @@
 // The "qasm_simulator" of the paper's Sec. IV: executes circuits with
 // measurements, resets and classical conditioning over many shots, and the
 // "unitary_simulator": accumulates a circuit's full 2^n x 2^n matrix.
-// Its shot-by-shot path and noise::TrajectorySimulator share one replay,
-// replay_shots, which takes Kraus operators and readout errors as data.
-// A circuit whose measurements form a final layer skips the replay: it is
-// simulated once and sampled through sim::sample_final_layer, the sampler
-// the DD and density-matrix engines share.
+// StatevectorSimulator and noise::TrajectorySimulator run through one
+// function, run_shot_plan, which takes Kraus operators and readout errors
+// as data. It simulates only the qubits the plan touches. A plan with no
+// Kraus channel whose circuit has a final measurement layer is simulated
+// once and sampled through sim::sample_final_layer, the sampler the DD and
+// density-matrix engines share; anything else replays every shot.
 
 #include <cstdint>
 #include <vector>
@@ -34,15 +35,17 @@ inline int apply_readout(const ReadoutError* error, int value, Rng& rng) {
   return rng.bernoulli(flip_prob) ? 1 - value : value;
 }
 
-/// A compiled statevector program as replay_shots runs it. The pointers
-/// borrow: what they point to must outlive the replay.
+/// A compiled statevector program as run_shot_plan takes it: the fused
+/// kernels and passthrough ops of a circuit, at the circuit's own qubit
+/// labels. The pointers borrow: what they point to must outlive the run.
 struct ShotPlan {
   std::vector<FusedOp> ops;
   /// Kraus operators sampled after passthrough unitary ops[i] (nullptr:
-  /// noiseless), and readout error per simulated qubit (nullptr: ideal).
-  /// Either vector is empty when nothing is noisy.
+  /// noiseless), and readout error per qubit (nullptr: ideal). Either
+  /// vector may be empty when nothing of its kind is noisy.
   std::vector<const std::vector<Matrix>*> kraus;
   std::vector<const ReadoutError*> readout;
+  // Set by run_shot_plan when it compacts the plan:
   int num_qubits = 0;  // simulated width
   int num_clbits = 0;
   /// Statevector::set_register_layout of the state; empty: its own register.
@@ -51,16 +54,22 @@ struct ShotPlan {
   const std::vector<Register>* cregs = nullptr;  // read by conditioned ops
 };
 
-/// Run `shots` replays of `plan` under the sample_shots contract. When
-/// `last_state` is given it receives the last shot's final amplitudes.
-Counts replay_shots(const ShotPlan& plan, std::uint64_t seed, int shots,
-                    std::vector<cplx>* last_state = nullptr);
+/// Run `shots` shots of `plan`, compiled from `circuit`. The plan is
+/// relabelled onto the qubits it touches, and the state keeps its place in
+/// the circuit's register, so reductions match the full-width register bit
+/// for bit (DESIGN.md, "Trajectory compaction"). Throws
+/// std::invalid_argument when it touches more than kMaxStatevectorQubits
+/// qubits (the register may be wider). A plan with no Kraus channel whose
+/// circuit has a final layer (sim::final_layer) is simulated once and its
+/// shots are drawn through sample_final_layer from one Rng(seed), readout
+/// errors through its `read` hook; anything else replays every shot under
+/// the sample_shots contract. Either way the counts for a fixed seed repeat
+/// at any thread count.
+Counts run_shot_plan(const QuantumCircuit& circuit, ShotPlan plan,
+                     std::uint64_t seed, int shots);
 
 struct RunResult {
   Counts counts;
-  /// Final pre-measurement state when the fast (deterministic) path was
-  /// taken; final state of the last shot otherwise.
-  std::vector<cplx> statevector;
 };
 
 /// Array-based circuit executor.
@@ -69,17 +78,11 @@ class StatevectorSimulator {
   explicit StatevectorSimulator(std::uint64_t seed = 0xC0FFEE)
       : seed_(seed) {}
 
-  /// Execute with sampling. The circuit is first compiled into a fused
-  /// kernel plan (see sim/fusion.hpp; QTC_FUSION / QTC_FUSION_MAX_QUBITS).
-  /// A circuit with a final measurement layer (sim::final_layer: measure-last
-  /// wires, no reset, no conditional) is simulated once and its shots are
-  /// drawn from the precomputed cumulative distribution through
-  /// sample_final_layer, one stream seeded from `seed` per call. Anything
-  /// else goes through replay_shots with no noise: per-shot streams derived
-  /// from (seed, shot index). Either way a repeated run() gives the same
-  /// counts, and the counts for a fixed seed are identical whatever
-  /// QTC_NUM_THREADS says. Circuits without any measurement yield empty
-  /// counts.
+  /// Execute with sampling: the circuit is compiled into a fused kernel
+  /// plan (see sim/fusion.hpp; QTC_FUSION / QTC_FUSION_MAX_QUBITS) and run
+  /// through run_shot_plan with no noise, so its counts equal
+  /// noise::TrajectorySimulator's under an empty model. A circuit that
+  /// writes no clbit records the all-zero key of its clbit width per shot.
   RunResult run(const QuantumCircuit& circuit, int shots = 1024);
 
   /// Final statevector of the unitary part of the circuit (measurements,

@@ -213,8 +213,6 @@ TEST(Determinism, PerShotPathCountsThreadInvariant) {
   sim::StatevectorSimulator s4(7);
   const auto r4 = s4.run(qc, 600);
   EXPECT_EQ(r1.counts.histogram, r4.counts.histogram);
-  // Last shot's state is pinned to the shot index, not the thread schedule.
-  EXPECT_EQ(r1.statevector, r4.statevector);
 }
 
 TEST(Determinism, PerShotPathRepeatsForSameSeed) {

@@ -1,11 +1,16 @@
 // The two samplers every engine goes through: the seeded per-shot loop
-// (sim::sample_shots, with the one statevector replay sim::replay_shots) and
-// final-layer sampling (sim::sample_final_layer).
+// (sim::sample_shots, which the statevector run path sim::run_shot_plan
+// replays through) and final-layer sampling (sim::sample_final_layer).
 //
 // * The ideal statevector engine's shot-by-shot path must reproduce the
 //   full-width trajectory oracle (tests/reference_trajectory.hpp) under an
 //   empty noise model, counts bitwise, over a seeded corpus of dynamic
 //   circuits with idle qubits, fusion off and on.
+// * Under an empty noise model the trajectory engine and exec::execute run
+//   the ideal engine's path: counts bitwise equal to StatevectorSimulator's
+//   on measure-last and dynamic circuits, fusion off and on, 1 and 4
+//   threads.
+// * A clbit no measurement writes reads 0 on every engine.
 // * One determinism check runs over the seven engine paths that sample
 //   shots: statevector per-shot and final-layer, trajectory, density
 //   matrix, decision diagram, stabilizer per-shot and tableau-once. Counts
@@ -21,14 +26,18 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "arch/backend.hpp"
+#include "arch/coupling_map.hpp"
 #include "core/circuit.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "dd/simulator.hpp"
+#include "exec/execute.hpp"
 #include "noise/channel.hpp"
 #include "noise/density_matrix.hpp"
 #include "noise/noise_model.hpp"
@@ -123,10 +132,120 @@ TEST(ShotSampler, StatevectorPerShotPathMatchesTrajectoryOracle) {
           testing::reference_trajectory_run(qc, noiseless, kShots, seed);
       EXPECT_EQ(got.counts.histogram, want.histogram);
       EXPECT_EQ(got.counts.shots, kShots);
-      // The last shot's state, at the register's full width.
-      EXPECT_EQ(got.statevector.size(), std::size_t{1} << qc.num_qubits());
     }
   }
+}
+
+// --- empty-model trajectory and exec runs == the ideal engine -----------------
+
+/// A random circuit on `active` qubits of a wider register (idle qubits at
+/// random positions; with 12 of them the register crosses bit 14) whose
+/// only two-qubit gate is CX, so exec::execute takes it untranspiled on a
+/// fully connected device. `dynamic` adds a mid-circuit measurement that
+/// drives a conditioned gate, and a reset; otherwise the measurements form
+/// a final layer, with gates on the wires not yet measured between them.
+QuantumCircuit cx_circuit(int active, bool dynamic, Rng& gen) {
+  const int width = active + (gen.index(2) ? 2 : 12);
+  std::vector<int> live;
+  for (int q = 0; q < width; ++q) live.push_back(q);
+  while (static_cast<int>(live.size()) > active)
+    live.erase(live.begin() + static_cast<long>(gen.index(live.size())));
+  QuantumCircuit qc(width, active);
+  const auto gate = [&](const std::vector<int>& wires) {
+    const int q = wires[gen.index(wires.size())];
+    switch (gen.index(wires.size() > 1 ? 6 : 5)) {
+      case 0: qc.h(q); break;
+      case 1: qc.sx(q); break;
+      case 2: qc.rz(gen.uniform(-3, 3), q); break;
+      case 3: qc.ry(gen.uniform(-3, 3), q); break;
+      case 4: qc.t(q); break;
+      default: {
+        int r = wires[gen.index(wires.size())];
+        while (r == q) r = wires[gen.index(wires.size())];
+        qc.cx(q, r);
+      }
+    }
+  };
+  for (int g = 0; g < 3 * active + 4; ++g) gate(live);
+  if (dynamic) {
+    qc.measure(live[0], 0);
+    qc.x(live.back()).c_if(0, 1);
+    qc.reset(live[0]);
+    for (int g = 0; g < active + 2; ++g) gate(live);
+  }
+  std::vector<int> order = live;
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[gen.index(i)]);
+  for (int c = 0; c < active; ++c) {
+    qc.measure(order[c], c);
+    const std::vector<int> rest(order.begin() + c + 1, order.end());
+    if (!rest.empty())
+      for (int g = static_cast<int>(gen.index(3)); g > 0; --g) gate(rest);
+  }
+  return qc;
+}
+
+TEST(ShotSampler, EmptyModelRunsMatchStatevectorRun) {
+  KnobGuard guard;
+  const noise::NoiseModel empty;
+  constexpr int kShots = 129;
+  Rng gen(0xE4E7);
+  int final_layers = 0, replays = 0;
+  for (int i = 0; i < 24; ++i) {
+    const int active = 1 + i % 8;
+    const bool dynamic = i % 3 == 2;
+    const QuantumCircuit qc = cx_circuit(active, dynamic, gen);
+    const QuantumCircuit feature = dynamic_circuit(active, gen);
+    (sim::final_layer(qc).ok() ? final_layers : replays) += 1;
+    const std::uint64_t seed = 4000 + i;
+    const arch::Backend device(arch::fully_connected(qc.num_qubits()),
+                               arch::Calibration{});
+    exec::ExecuteOptions opts;
+    opts.transpile = false;
+    opts.noise_model = &empty;
+    opts.engine = sim::Engine::Statevector;
+    opts.shots = kShots;
+    opts.seed = seed;
+    for (int fusion : {0, 1})
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("circuit " + std::to_string(i) + " (" +
+                     std::to_string(active) + " active of " +
+                     std::to_string(qc.num_qubits()) + "), fusion=" +
+                     std::to_string(fusion) +
+                     " threads=" + std::to_string(threads));
+        sim::set_fusion_enabled(fusion);
+        parallel::set_num_threads(threads);
+        const sim::Counts want =
+            sim::StatevectorSimulator(seed).run(qc, kShots).counts;
+        ASSERT_EQ(want.shots, kShots);
+        EXPECT_EQ(noise::TrajectorySimulator(seed).run(qc, empty, kShots)
+                      .histogram,
+                  want.histogram);
+        EXPECT_EQ(exec::execute(qc, device, opts).counts.histogram,
+                  want.histogram);
+        EXPECT_EQ(noise::TrajectorySimulator(seed)
+                      .run(feature, empty, kShots)
+                      .histogram,
+                  sim::StatevectorSimulator(seed)
+                      .run(feature, kShots)
+                      .counts.histogram);
+      }
+  }
+  EXPECT_EQ(final_layers, 16);
+  EXPECT_EQ(replays, 8);
+}
+
+TEST(ShotSampler, UnwrittenClbitsReadZeroOnEveryEngine) {
+  QuantumCircuit qc(2, 2);
+  qc.h(0).cx(0, 1);
+  const noise::NoiseModel empty;
+  const std::map<std::string, int> want = {{"00", 4}};
+  EXPECT_EQ(sim::StatevectorSimulator(3).run(qc, 4).counts.histogram, want);
+  EXPECT_EQ(noise::TrajectorySimulator(3).run(qc, empty, 4).histogram, want);
+  EXPECT_EQ(sim::StabilizerSimulator(3).run(qc, 4).histogram, want);
+  EXPECT_EQ(dd::DDSimulator(3).run(qc, 4).counts.histogram, want);
+  EXPECT_EQ(noise::DensityMatrixSimulator(3).run(qc, empty, 4).counts.histogram,
+            want);
 }
 
 // --- one determinism check over every shot-sampling engine path -------------

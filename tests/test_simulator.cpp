@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 namespace qtc::sim {
 namespace {
@@ -26,14 +28,17 @@ TEST(Simulator, DeterministicCircuitIsDeterministic) {
   EXPECT_EQ(r.counts.count("101"), 100);
 }
 
-TEST(Simulator, NoMeasurementYieldsStatevectorOnly) {
+TEST(Simulator, NoMeasurementRecordsAllZeroKey) {
+  // A circuit with no clbit records the empty key once per shot; its state
+  // comes from statevector().
   QuantumCircuit qc(2);
   qc.h(0).cx(0, 1);
   StatevectorSimulator sim;
   const RunResult r = sim.run(qc, 10);
-  EXPECT_TRUE(r.counts.histogram.empty());
-  ASSERT_EQ(r.statevector.size(), 4u);
-  EXPECT_NEAR(std::abs(r.statevector[0]), SQRT1_2, 1e-12);
+  EXPECT_EQ(r.counts.histogram, (std::map<std::string, int>{{"", 10}}));
+  EXPECT_EQ(r.counts.shots, 10);
+  const Statevector sv = sim.statevector(qc);
+  EXPECT_NEAR(std::abs(sv.amplitude(0)), SQRT1_2, 1e-12);
 }
 
 TEST(Simulator, PartialMeasurementUsesOnlyMappedClbits) {

@@ -447,6 +447,38 @@ TEST(WideDevice, MoreThanThirtyTouchedQubitsStillThrows) {
       << via_exec;
 }
 
+TEST(WideDevice, IdealEngineRunsEightQubitCircuitOnEagle) {
+  // The eight-qubit job at register positions 4, 19, ..., 109 of Eagle's
+  // 127: both engines simulate the eight touched qubits, so the counts are
+  // the narrow job's.
+  const int width = arch::heavy_hex_backend(7).num_qubits();
+  const QuantumCircuit job = eight_qubit_job();
+  QuantumCircuit wide(width, job.num_clbits());
+  for (Operation op : job.ops()) {
+    for (int& q : op.qubits) q = 15 * q + 4;
+    wide.append(op);
+  }
+  const sim::Counts counts = sim::StatevectorSimulator(5).run(wide, 64).counts;
+  EXPECT_EQ(counts.shots, 64);
+  EXPECT_EQ(counts.histogram,
+            sim::StatevectorSimulator(5).run(job, 64).counts.histogram);
+  EXPECT_EQ(
+      noise::TrajectorySimulator(5).run(wide, noise::NoiseModel{}, 64).histogram,
+      counts.histogram);
+}
+
+TEST(WideDevice, BothEnginesThrowOneWidthMessage) {
+  QuantumCircuit qc(40, 1);
+  for (int q = 0; q < 31; ++q) qc.h(q);
+  qc.measure(0, 0);
+  const std::string ideal =
+      thrown_message([&] { sim::StatevectorSimulator(1).run(qc, 2); });
+  EXPECT_NE(ideal.find("touches 31 qubits"), std::string::npos) << ideal;
+  EXPECT_EQ(ideal, thrown_message([&] {
+              noise::TrajectorySimulator(1).run(qc, noise::NoiseModel{}, 2);
+            }));
+}
+
 // --- wide classical registers ------------------------------------------------
 
 TEST(WideClbits, SeventyClbitKeysOnEveryEngine) {
