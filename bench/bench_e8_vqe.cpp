@@ -77,7 +77,6 @@ void print_artifact() {
   // replays the cached routing with re-bound angles (warm).
   std::printf("Hybrid loop on QX4 (20-iteration parameter sweep, 64 shots):\n");
   transpiler::TranspileCache::global().clear();
-  transpiler::TranspileCache::set_enabled(1);
   const Ansatz sweep_ansatz = ry_linear(4, 2);
   std::vector<double> params(sweep_ansatz.num_parameters, 0.0);
   exec::ExecuteOptions exec_opts;
@@ -100,7 +99,6 @@ void print_artifact() {
       cold_compiles, warm_compiles,
       static_cast<unsigned long long>(map::mapper_run_count() -
                                       mapper_runs_before));
-  transpiler::TranspileCache::set_enabled(-1);
   transpiler::TranspileCache::global().clear();
 }
 

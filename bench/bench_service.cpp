@@ -1,11 +1,12 @@
 // Execution-service benchmark. The container-independent artifact is the
-// structural-batching economics of a hybrid workload: a 32-iteration VQE
-// tenant (one ansatz structure, fresh angles every iteration) mixed with
-// random-circuit tenants pays ONE mapper run for the whole VQE loop — every
-// other iteration is claimed into a structural batch and compiled warm out
-// of the transpile cache. Wall-clock throughput (jobs/s) at 1/2/4 workers
-// follows; on a many-core host the worker sweep shows the dispatch scaling,
-// on the 1-CPU CI container it degenerates to ~1x by design.
+// compile economics of a hybrid workload: a 32-iteration VQE tenant (one
+// ansatz structure, fresh angles every iteration) mixed with random-circuit
+// tenants pays ONE mapper run for the whole VQE loop — every other
+// iteration compiles warm out of the transpile cache, and iterations that
+// miss concurrently wait for the one cold compile (single flight).
+// Wall-clock throughput (jobs/s) at 1/2/4 workers follows; on a many-core
+// host the worker sweep shows the dispatch scaling, on the 1-CPU CI
+// container it degenerates to ~1x by design.
 //
 // The artifact prints to stderr so stdout stays machine-readable:
 //   ./bench_service --benchmark_format=json > BENCH_service.json
@@ -79,7 +80,7 @@ std::vector<JobHandle> submit_mixed_fleet(ExecutionService& svc,
 void print_service_artifact() {
   const qtc::arch::Backend backend = qtc::arch::qx4_backend();
 
-  // --- batching economics of the hybrid mix ---------------------------------
+  // --- compile economics of the hybrid mix ----------------------------------
   qtc::transpiler::TranspileCache::global().clear();
   const std::uint64_t mappers_before = qtc::map::mapper_run_count();
   ServiceConfig config;
@@ -97,14 +98,10 @@ void print_service_artifact() {
   std::fprintf(stderr,
                "execution service: 32-iteration VQE tenant + 2 random-circuit "
                "tenants (48 jobs, 2 workers)\n"
-               "  %-28s %8llu\n  %-28s %8llu\n  %-28s %8llu\n  %-28s %8llu\n"
-               "  %-28s %7.1f%%\n  %-28s %8llu\n",
+               "  %-28s %8llu\n  %-28s %8llu\n  %-28s %7.1f%%\n"
+               "  %-28s %8llu\n",
                "jobs completed",
                static_cast<unsigned long long>(stats.completed),
-               "structural batches",
-               static_cast<unsigned long long>(stats.batches),
-               "batch-claimed followers",
-               static_cast<unsigned long long>(stats.batch_hits),
                "warm transpile-cache hits",
                static_cast<unsigned long long>(stats.cache_hits),
                "VQE iterations compiled warm",
@@ -132,7 +129,7 @@ void print_service_artifact() {
 }
 
 /// One full fleet (submit 48 jobs, drain) per iteration — service
-/// construction, dispatch, batching and teardown all on the clock.
+/// construction, dispatch and teardown all on the clock.
 void BM_ServiceMixedFleet(benchmark::State& state) {
   const qtc::arch::Backend backend = qtc::arch::qx4_backend();
   const int workers = static_cast<int>(state.range(0));
@@ -166,26 +163,6 @@ void BM_ServiceSingleJobLatency(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServiceSingleJobLatency)->Unit(benchmark::kMillisecond);
-
-/// Batching on vs off on the same VQE-heavy fleet: what the structural
-/// batcher is worth end to end.
-void BM_ServiceVQEMixBatching(benchmark::State& state) {
-  const qtc::arch::Backend backend = qtc::arch::qx4_backend();
-  const int batching = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    qtc::transpiler::TranspileCache::global().clear();
-    ServiceConfig config;
-    config.workers = 2;
-    config.batching = batching;
-    ExecutionService svc(config);
-    submit_mixed_fleet(svc, backend, 32, 8);
-    svc.drain();
-    benchmark::DoNotOptimize(svc.stats().batch_hits);
-  }
-  state.SetItemsProcessed(state.iterations() * 48);
-}
-BENCHMARK(BM_ServiceVQEMixBatching)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

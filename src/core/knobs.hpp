@@ -33,11 +33,9 @@ enum class Knob : std::uint8_t {
   MapTrials,
   MapSeed,
   MapFidelity,
-  TranspileCache,
   ServiceWorkers,
   ServiceQueueCap,
   ServiceResultsCap,
-  ServiceBatch,
 };
 
 enum class Type : std::uint8_t { Flag, Int, U64 };
@@ -68,13 +66,11 @@ inline constexpr Spec kTable[] = {
     {Knob::MapSeed, "QTC_MAP_SEED", Type::U64, 0xC0FFEE, 0,
      ~std::uint64_t{0} - 1},
     {Knob::MapFidelity, "QTC_MAP_FIDELITY", Type::Flag, 0, 0, 1},
-    {Knob::TranspileCache, "QTC_TRANSPILE_CACHE", Type::Flag, 1, 0, 1},
     {Knob::ServiceWorkers, "QTC_SERVICE_WORKERS", Type::Int, 0, 1, 256},
     {Knob::ServiceQueueCap, "QTC_SERVICE_QUEUE_CAP", Type::Int, 64, 1,
      1 << 20},
     {Knob::ServiceResultsCap, "QTC_SERVICE_RESULTS_CAP", Type::Int, 1024, 1,
      1 << 24},
-    {Knob::ServiceBatch, "QTC_SERVICE_BATCH", Type::Flag, 1, 0, 1},
 };
 
 inline constexpr std::size_t kNumKnobs = sizeof(kTable) / sizeof(kTable[0]);

@@ -33,9 +33,11 @@ struct ExecuteOptions {
   /// calibration data (noise::from_backend).
   const noise::NoiseModel* noise_model = nullptr;
   transpiler::TranspileOptions transpile_options{};
-  /// Serve compilation from the global TranspileCache (when it is enabled —
-  /// see QTC_TRANSPILE_CACHE). Hybrid loops re-executing the same ansatz
-  /// structure with new angles then skip layout + routing entirely.
+  /// Serve compilation from the global TranspileCache. Hybrid loops
+  /// re-executing the same ansatz structure with new angles then skip
+  /// layout + routing entirely, and concurrent callers compiling one
+  /// structure share a single cold compile. False compiles cold
+  /// (transpiler::transpile).
   bool use_transpile_cache = true;
   /// Simulation engine. Auto lets the dispatcher pick from the circuit's
   /// structure (see sim/dispatch.hpp; noisy runs always use the trajectory

@@ -37,10 +37,12 @@
 // param section is a pure function of the circuit's *structure* (register
 // shapes, gate kinds, operands, conditions — parameter values excluded), so
 // bytes [0, param_offset) are a literal structural prefix. The transpile
-// cache's structural fingerprint hashes exactly these bytes — via
-// structural_digest(circuit) on the encode side, or straight off an encoded
-// payload without decoding — instead of re-walking the IR, and the
-// execution service batches pre-encoded submissions by the same digest.
+// cache's structural fingerprint hashes exactly these bytes, through
+// structural_digest(circuit), instead of re-walking the IR. The payload
+// overload reads the same digest straight off an encoded payload without
+// decoding; it is QBIN API, pinned equal to the circuit digest by the
+// round-trip tests. The execution service decodes payload submissions and
+// shares their compiles through the transpile cache like any circuit job.
 //
 // Decoding is strict: every read is bounds-checked against the declared
 // framing, every count is range-checked before allocation, and every

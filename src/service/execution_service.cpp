@@ -7,7 +7,6 @@
 
 #include "core/knobs.hpp"
 #include "core/parallel.hpp"
-#include "transpiler/transpile_cache.hpp"
 
 namespace qtc::service {
 
@@ -52,8 +51,6 @@ int default_results_cap() {
   return static_cast<int>(knobs::get(knobs::Knob::ServiceResultsCap));
 }
 
-bool default_batching() { return knobs::flag(knobs::Knob::ServiceBatch); }
-
 /// What a job needs to run: owned copies of the caller's arguments. The
 /// noise model copy shares the caller's channels (reference counts only).
 struct ExecutionInputs {
@@ -71,7 +68,6 @@ struct ExecutionService::Job {
   std::uint64_t id = 0;
   std::string tenant;
   std::unique_ptr<ExecutionInputs> inputs;  // null once terminal
-  std::uint64_t structural_key = 0;         // 0: never batched
 
   JobState state = JobState::Queued;
   bool cancel_requested = false;
@@ -88,7 +84,6 @@ struct ExecutionService::Job {
   int mapper_trials = 0;
   const char* engine = "";
   const char* dispatch_reason = "";
-  bool batch_follower = false;
   std::uint64_t completion_seq = 0;
 };
 
@@ -104,7 +99,6 @@ ExecutionService::ExecutionService(ServiceConfig config) {
   queue_cap_ = config.queue_cap >= 1 ? config.queue_cap : default_queue_cap();
   results_cap_ =
       config.results_cap >= 1 ? config.results_cap : default_results_cap();
-  batching_ = config.batching >= 0 ? config.batching != 0 : default_batching();
   on_job_running_ = std::move(config.on_job_running);
   threads_.reserve(workers);
   for (int i = 0; i < workers; ++i)
@@ -132,14 +126,7 @@ JobHandle ExecutionService::submit(const QuantumCircuit& circuit,
                                    const arch::Backend& backend,
                                    const exec::ExecuteOptions& options,
                                    const std::string& tenant) {
-  // The batching key is a pure function of the inputs — hash outside the
-  // lock so contended submits only serialize on the queue push.
-  const std::uint64_t key =
-      options.transpile ? transpiler::structural_cache_key(
-                              circuit, backend, options.transpile_options)
-                        : 0;
-  QuantumCircuit copy = circuit;
-  return submit_with_key(std::move(copy), backend, options, tenant, key);
+  return enqueue(QuantumCircuit(circuit), backend, options, tenant);
 }
 
 JobHandle ExecutionService::submit(const qbin::Bytes& payload,
@@ -147,24 +134,13 @@ JobHandle ExecutionService::submit(const qbin::Bytes& payload,
                                    const exec::ExecuteOptions& options,
                                    const std::string& tenant) {
   QuantumCircuit circuit;
-  std::uint64_t key = 0;
   try {
     circuit = qbin::decode(payload);
-    if (options.transpile) {
-      // Read the batching key off the payload's structural prefix — no
-      // second walk of the decoded IR. Payloads produced by qbin::encode
-      // are canonical, so this digest equals the digest of the decoded
-      // circuit and payload jobs batch with circuit jobs; a hand-built
-      // non-canonical (but valid) payload only costs itself the batch.
-      key = transpiler::structural_cache_key_digest(
-          qbin::structural_digest(payload), backend,
-          options.transpile_options);
-    }
   } catch (const qbin::DecodeError& e) {
     return reject_now(tenant, std::string("invalid QBIN payload: ") +
                                   e.what());
   }
-  return submit_with_key(std::move(circuit), backend, options, tenant, key);
+  return enqueue(std::move(circuit), backend, options, tenant);
 }
 
 JobHandle ExecutionService::reject_now(const std::string& tenant,
@@ -184,11 +160,10 @@ JobHandle ExecutionService::reject_now(const std::string& tenant,
   return JobHandle(this, id, false);
 }
 
-JobHandle ExecutionService::submit_with_key(QuantumCircuit&& circuit,
-                                            const arch::Backend& backend,
-                                            const exec::ExecuteOptions& options,
-                                            const std::string& tenant,
-                                            std::uint64_t key) {
+JobHandle ExecutionService::enqueue(QuantumCircuit&& circuit,
+                                    const arch::Backend& backend,
+                                    const exec::ExecuteOptions& options,
+                                    const std::string& tenant) {
   std::unique_lock<std::mutex> lock(mu_);
   ++stats_.submitted;
   const std::uint64_t id = next_id_++;
@@ -226,7 +201,6 @@ JobHandle ExecutionService::submit_with_key(QuantumCircuit&& circuit,
     in.noise = *options.noise_model;
     in.options.noise_model = &*in.noise;
   }
-  job->structural_key = key;
   queues_[tenant].push_back(job);
   lock.unlock();
   work_cv_.notify_one();
@@ -236,7 +210,7 @@ JobHandle ExecutionService::submit_with_key(QuantumCircuit&& circuit,
 ExecutionService::JobPtr ExecutionService::pop_next_locked() {
   if (queues_.empty()) return nullptr;
   // Round-robin in tenant-name order: resume one past the last served
-  // tenant, wrapping — each pass takes one job (or batch) per tenant turn.
+  // tenant, wrapping — each pass takes one job per tenant turn.
   auto it = queues_.upper_bound(rr_cursor_);
   if (it == queues_.end()) it = queues_.begin();
   rr_cursor_ = it->first;
@@ -246,58 +220,24 @@ ExecutionService::JobPtr ExecutionService::pop_next_locked() {
   return job;
 }
 
-std::vector<ExecutionService::JobPtr> ExecutionService::claim_batch_locked(
-    std::uint64_t key) {
-  std::vector<JobPtr> followers;
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    std::deque<JobPtr>& queue = it->second;
-    for (auto qit = queue.begin(); qit != queue.end();) {
-      if ((*qit)->structural_key == key) {
-        followers.push_back(std::move(*qit));
-        qit = queue.erase(qit);
-      } else {
-        ++qit;
-      }
-    }
-    it = queue.empty() ? queues_.erase(it) : std::next(it);
-  }
-  return followers;
-}
-
 void ExecutionService::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [&] { return stopping_ || !queues_.empty(); });
     if (stopping_) return;
-    JobPtr lead = pop_next_locked();
-    if (!lead) continue;
-    lead->claimed = true;
+    JobPtr job = pop_next_locked();
+    if (!job) continue;
+    job->claimed = true;
     ++in_flight_;
-    std::vector<JobPtr> followers;
-    if (batching_ && lead->structural_key != 0) {
-      followers = claim_batch_locked(lead->structural_key);
-      for (const JobPtr& f : followers) {
-        f->claimed = true;
-        ++in_flight_;
-      }
-      if (!followers.empty()) {
-        ++stats_.batches;
-        stats_.batch_hits += followers.size();
-      }
-    }
     lock.unlock();
-    // The leader compiles the structure (cold at worst); the followers
-    // replay it warm out of the transpile cache, one mapper run per batch.
-    run_job(lead, /*batch_follower=*/false);
-    for (const JobPtr& f : followers) run_job(f, /*batch_follower=*/true);
+    run_job(job);
     lock.lock();
   }
 }
 
-void ExecutionService::run_job(const JobPtr& job, bool batch_follower) {
+void ExecutionService::run_job(const JobPtr& job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    job->batch_follower = batch_follower;
     if (job->cancel_requested || stopping_) {
       if (job->error.empty() && stopping_)
         job->error = "service shut down before the job ran";
@@ -390,7 +330,6 @@ JobResult ExecutionService::snapshot_locked(const Job& job) const {
   r.mapper_trials = job.mapper_trials;
   r.engine = job.engine;
   r.dispatch_reason = job.dispatch_reason;
-  r.batch_follower = job.batch_follower;
   r.completion_seq = job.completion_seq;
   return r;
 }

@@ -9,16 +9,17 @@
 // Scheduling and admission control:
 //   * One FIFO queue per tenant, served round-robin in tenant-name order, so
 //     a tenant hammering the service cannot starve the others — each pass of
-//     a worker over the queues takes at most one job (or one structural
-//     batch) per tenant turn.
+//     a worker over the queues takes at most one job per tenant turn. The
+//     order is unconditional: no job is ever taken out of its turn.
 //   * Bounded queue depth per tenant (QTC_SERVICE_QUEUE_CAP): a submit to a
 //     full queue is rejected synchronously with a reason on the handle, so
 //     backpressure reaches the caller instead of growing unbounded state.
-//   * Structural batching: queued jobs whose circuits share a structural
-//     transpile-cache key (same gate structure, coupling map and options —
-//     parameter values excluded) are claimed together and run back to back,
-//     so a hybrid-loop tenant's 32 VQE iterations pay ONE mapper run and 31
-//     warm transpile-cache replays (see transpiler/transpile_cache.hpp).
+//   * Shared compiles: jobs run through exec::execute and so through the
+//     global transpile cache, whose single flight makes concurrent jobs of
+//     one structure (same gates, coupling map and options — parameter
+//     values excluded) wait for one cold compile and replay it warm. A
+//     hybrid-loop tenant's 32 VQE iterations pay ONE mapper run, whichever
+//     workers run them (see transpiler/transpile_cache.hpp).
 //
 // Determinism contract: a job's counts depend only on its own
 // (circuit, backend, options) — exec::execute is bitwise deterministic for a
@@ -39,7 +40,6 @@
 //   QTC_SERVICE_WORKERS      worker threads (default: parallel::num_threads)
 //   QTC_SERVICE_QUEUE_CAP    per-tenant queue depth bound (default 64)
 //   QTC_SERVICE_RESULTS_CAP  retained result payloads (default 1024)
-//   QTC_SERVICE_BATCH        structural batching on/off (default on)
 
 #include <condition_variable>
 #include <cstdint>
@@ -85,7 +85,6 @@ struct JobResult {
   double run_ms = 0;        // scheduled -> terminal
   bool transpile_cache_hit = false;  // compilation served warm
   int mapper_trials = 0;             // layout trials run (0 on a warm hit)
-  bool batch_follower = false;  // ran in the tail of a structural batch
   /// Engine that sampled the shots ("statevector" / "stabilizer" /
   /// "decision_diagram") and the dispatcher's reason (Done only).
   std::string engine;
@@ -105,8 +104,10 @@ struct ServiceStats {
   std::uint64_t cancelled = 0;  // cancelled while queued or running
   std::uint64_t failed = 0;     // execution threw; error captured
   std::uint64_t evicted = 0;    // result payloads dropped by the FIFO store
-  std::uint64_t batches = 0;    // structural batches with >= 2 jobs
-  std::uint64_t batch_hits = 0;  // follower jobs claimed into a batch
+  /// Retired: always 0 since the scheduler stopped batching (shared
+  /// compiles happen in the transpile cache). Kept only for the benchmark
+  /// harness that still reads it; removed together with that read.
+  std::uint64_t batch_hits = 0;
   std::uint64_t cache_hits = 0;  // jobs whose compile was served warm
   /// Done-job count per tenant, sorted by tenant name.
   std::vector<std::pair<std::string, std::uint64_t>> per_tenant_served;
@@ -119,7 +120,6 @@ struct ServiceConfig {
   int workers = 0;      // >=1 overrides QTC_SERVICE_WORKERS
   int queue_cap = 0;    // >=1 overrides QTC_SERVICE_QUEUE_CAP (per tenant)
   int results_cap = 0;  // >=1 overrides QTC_SERVICE_RESULTS_CAP
-  int batching = -1;    // 0/1 overrides QTC_SERVICE_BATCH
   /// Test hook: called on the worker thread after a job transitions to
   /// Running and before it executes (no service lock held). Lets the
   /// deterministic tests hold a worker at a known point.
@@ -131,7 +131,6 @@ struct ServiceConfig {
 int default_workers();      // QTC_SERVICE_WORKERS, [1, 256]
 int default_queue_cap();    // QTC_SERVICE_QUEUE_CAP, [1, 2^20], default 64
 int default_results_cap();  // QTC_SERVICE_RESULTS_CAP, [1, 2^24], dflt 1024
-bool default_batching();    // QTC_SERVICE_BATCH, default on
 
 class ExecutionService;
 
@@ -183,10 +182,8 @@ class ExecutionService {
   /// fast path for hot hybrid loops, which ship the binary circuit and skip
   /// QASM entirely. The payload is decoded at submit time — a malformed
   /// payload is rejected synchronously with the DecodeError message as the
-  /// reason, never enqueued. The batching key is read off the payload's
-  /// structural prefix without a second IR walk, and matches the key of an
-  /// equivalent circuit submission, so payload-submitted and
-  /// circuit-submitted jobs with the same structure batch together.
+  /// reason, never enqueued. A decoded payload job shares compiles with
+  /// circuit jobs of the same structure through the transpile cache.
   JobHandle submit(const qbin::Bytes& payload, const arch::Backend& backend,
                    const exec::ExecuteOptions& options = {},
                    const std::string& tenant = "default");
@@ -205,18 +202,16 @@ class ExecutionService {
   int workers() const { return static_cast<int>(threads_.size()); }
   int queue_cap() const { return queue_cap_; }
   int results_cap() const { return results_cap_; }
-  bool batching() const { return batching_; }
 
  private:
   struct Job;
   using JobPtr = std::shared_ptr<Job>;
 
   /// Shared tail of the submit overloads: admission control and enqueue of
-  /// a decoded circuit with its precomputed batching key.
-  JobHandle submit_with_key(QuantumCircuit&& circuit,
-                            const arch::Backend& backend,
-                            const exec::ExecuteOptions& options,
-                            const std::string& tenant, std::uint64_t key);
+  /// a decoded circuit.
+  JobHandle enqueue(QuantumCircuit&& circuit, const arch::Backend& backend,
+                    const exec::ExecuteOptions& options,
+                    const std::string& tenant);
   /// Synchronously reject: records a terminal Rejected job (so the id is
   /// pollable and the stats ledger balances) and returns its handle.
   JobHandle reject_now(const std::string& tenant, std::string reason);
@@ -225,10 +220,7 @@ class ExecutionService {
   /// Pop the next job honoring the round-robin cursor; nullptr when all
   /// queues are empty. Caller holds mu_.
   JobPtr pop_next_locked();
-  /// Claim queued jobs sharing `key` across all tenants (batch followers).
-  /// Caller holds mu_.
-  std::vector<JobPtr> claim_batch_locked(std::uint64_t key);
-  void run_job(const JobPtr& job, bool batch_follower);
+  void run_job(const JobPtr& job);
   /// Move `job` to a terminal state, stamp metadata, store/evict the
   /// payload, bump counters and wake waiters. Caller holds mu_.
   void finish_locked(const JobPtr& job, JobState state);
@@ -241,7 +233,6 @@ class ExecutionService {
 
   int queue_cap_ = 1;
   int results_cap_ = 1;
-  bool batching_ = true;
   std::function<void(std::uint64_t)> on_job_running_;
 
   std::uint64_t next_id_ = 1;

@@ -3,7 +3,6 @@
 #include <bit>
 #include <utility>
 
-#include "core/knobs.hpp"
 #include "qbin/qbin.hpp"
 
 namespace qtc::transpiler {
@@ -75,16 +74,15 @@ std::uint64_t calibration_fingerprint(const arch::Backend& backend,
   return h.h;
 }
 
-/// Mix a circuit-structural fingerprint with the backend (coupling map,
-/// native basis, calibration when fidelity-aware) and resolved options into
-/// the final cache/batching key. Shared by the circuit path (cache_key) and
-/// the payload path (structural_cache_key_digest), so the two produce
-/// identical keys for identical structures by construction.
-std::uint64_t mix_key(std::uint64_t structural, const arch::Backend& backend,
-                      const TranspileOptions& opts) {
+/// Cache key: the circuit-structural fingerprint mixed with the backend
+/// (coupling map, native basis, calibration when fidelity-aware) and the
+/// resolved options.
+std::uint64_t cache_key(const QuantumCircuit& circuit,
+                        const arch::Backend& backend,
+                        const TranspileOptions& opts) {
   const arch::CouplingMap& coupling = backend.coupling_map();
   Hasher h;
-  h.mix(structural);
+  h.mix(qbin::structural_digest(circuit));
   h.mix(static_cast<std::uint64_t>(coupling.num_qubits()));
   for (const auto& [a, b] : coupling.edges()) {
     h.mix(static_cast<std::uint64_t>(a));
@@ -101,12 +99,6 @@ std::uint64_t mix_key(std::uint64_t structural, const arch::Backend& backend,
   return h.h;
 }
 
-std::uint64_t cache_key(const QuantumCircuit& circuit,
-                        const arch::Backend& backend,
-                        const TranspileOptions& opts) {
-  return mix_key(qbin::structural_digest(circuit), backend, opts);
-}
-
 }  // namespace
 
 TranspileCache& TranspileCache::global() {
@@ -114,16 +106,24 @@ TranspileCache& TranspileCache::global() {
   return cache;
 }
 
-bool TranspileCache::enabled() {
-  return knobs::flag(knobs::Knob::TranspileCache);
-}
+class TranspileCache::InFlightGuard {
+ public:
+  InFlightGuard(TranspileCache& cache, std::uint64_t key)
+      : cache_(cache), key_(key) {}
+  InFlightGuard(const InFlightGuard&) = delete;
+  InFlightGuard& operator=(const InFlightGuard&) = delete;
+  ~InFlightGuard() {
+    {
+      std::lock_guard<std::mutex> lock(cache_.mu_);
+      cache_.in_flight_.erase(key_);
+    }
+    cache_.in_flight_done_.notify_all();
+  }
 
-void TranspileCache::set_enabled(int enabled) {
-  if (enabled < 0)
-    knobs::clear(knobs::Knob::TranspileCache);
-  else
-    knobs::set(knobs::Knob::TranspileCache, enabled);
-}
+ private:
+  TranspileCache& cache_;
+  std::uint64_t key_;
+};
 
 TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
                                           const arch::Backend& backend,
@@ -135,43 +135,55 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
   const int basis = static_cast<int>(backend.basis());
   const std::uint64_t chash = calibration_fingerprint(backend, opts);
 
+  // The entry this circuit can be served from, if any. Caller holds mu_.
+  auto find_locked = [&]() -> const Entry* {
+    auto it = buckets_.find(key);
+    if (it == buckets_.end()) return nullptr;
+    for (const Entry& e : it->second)
+      if (e.coupling_qubits == coupling.num_qubits() &&
+          e.coupling_edges == coupling.edges() && e.basis == basis &&
+          e.calib_hash == chash && options_equal(e.options, opts) &&
+          same_structure(e.input, circuit))
+        return &e;
+    return nullptr;
+  };
+
   // Lookup under the lock; copy the winning entry's template out so the
   // replay (and any cold run) happens without holding it. The replay then
-  // moves its routed copy through finish_pipeline.
+  // moves its routed copy through finish_pipeline. A miss on a key that
+  // another thread is compiling waits for that compile, then looks again;
+  // a miss on a free key takes its in-flight slot.
   bool have_template = false;
   Entry tmpl;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     ++stats_.lookups;
-    auto it = buckets_.find(key);
-    if (it != buckets_.end()) {
-      for (const Entry& e : it->second) {
-        if (e.coupling_qubits != coupling.num_qubits() ||
-            e.coupling_edges != coupling.edges() ||
-            e.basis != basis || e.calib_hash != chash ||
-            !options_equal(e.options, opts) ||
-            !same_structure(e.input, circuit))
-          continue;
-        if (e.param_hash == phash && e.input == circuit) {
-          ++stats_.exact_hits;
-          ++stats_.mapper_runs_saved;
-          TranspileResult r = e.result;
-          r.cache_hit = true;
-          r.cache_exact = true;
-          r.mapper_trials = 0;
-          return r;
-        }
-        // Only what the replay reads: not the cold input or finished result.
-        tmpl.lowered = e.lowered;
-        tmpl.routed = e.routed;
-        tmpl.source_index = e.source_index;
-        tmpl.initial = e.initial;
-        tmpl.final_layout = e.final_layout;
-        tmpl.swaps = e.swaps;
-        tmpl.best_trial = e.best_trial;
-        have_template = true;
-        break;
-      }
+    const Entry* e = find_locked();
+    while (!e && in_flight_.count(key)) {
+      in_flight_done_.wait(lock);
+      e = find_locked();
+    }
+    if (e && e->param_hash == phash && e->input == circuit) {
+      ++stats_.exact_hits;
+      ++stats_.mapper_runs_saved;
+      TranspileResult r = e->result;
+      r.cache_hit = true;
+      r.cache_exact = true;
+      r.mapper_trials = 0;
+      return r;
+    }
+    if (e) {
+      // Only what the replay reads: not the cold input or finished result.
+      tmpl.lowered = e->lowered;
+      tmpl.routed = e->routed;
+      tmpl.source_index = e->source_index;
+      tmpl.initial = e->initial;
+      tmpl.final_layout = e->final_layout;
+      tmpl.swaps = e->swaps;
+      tmpl.best_trial = e->best_trial;
+      have_template = true;
+    } else {
+      in_flight_.insert(key);
     }
   }
 
@@ -203,8 +215,12 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
       }
       return r;
     }
+    // The lowering diverged from the template: compile cold. The key
+    // already has an entry, so no miss waits on this compile.
+    return cold_transpile(circuit, backend, opts, key, phash);
   }
 
+  const InFlightGuard slot(*this, key);
   return cold_transpile(circuit, backend, opts, key, phash);
 }
 
@@ -290,22 +306,9 @@ void TranspileCache::clear() {
   stats_ = TranspileCacheStats{};
 }
 
-std::uint64_t structural_cache_key(const QuantumCircuit& circuit,
-                                   const arch::Backend& backend,
-                                   const TranspileOptions& options) {
-  return cache_key(circuit, backend, detail::resolve_options(options));
-}
-
-std::uint64_t structural_cache_key_digest(std::uint64_t structural_digest,
-                                          const arch::Backend& backend,
-                                          const TranspileOptions& options) {
-  return mix_key(structural_digest, backend, detail::resolve_options(options));
-}
-
 TranspileResult transpile_cached(const QuantumCircuit& circuit,
                                  const arch::Backend& backend,
                                  const TranspileOptions& options) {
-  if (!TranspileCache::enabled()) return transpile(circuit, backend, options);
   return TranspileCache::global().transpile(circuit, backend, options);
 }
 

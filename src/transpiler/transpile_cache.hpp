@@ -20,17 +20,34 @@
 // ABC rotations vanish at zero angle), so a structural hit re-verifies the
 // lowered circuit's structure and falls back to a cold run on divergence.
 //
-// Knobs: QTC_TRANSPILE_CACHE (on by default; "0"/"off"/"false"/"no"
-// disables the global cache used by exec::execute), programmatic override
-// TranspileCache::set_enabled. Explicitly constructed instances always work.
+// Single flight: concurrent misses on one key share one cold compile. The
+// first miss takes the key's in-flight slot and compiles outside the lock;
+// any other thread whose lookup misses while the slot is taken waits, then
+// repeats its lookup and replays the fresh entry warm. N concurrent
+// same-structure misses cost one mapper run and one cache entry, whoever
+// calls (exec::execute, the execution service, a hybrid loop). A waiter
+// that still finds no match (a hash collision, or the angle-dependent
+// decomposition fallback) compiles cold itself, so waiting never changes a
+// result.
+//
+// Deadlock invariant: the compiling thread's SabreMapper::run enters the
+// fork-join pool (core/parallel.hpp), whose run mutex admits one region at
+// a time. A waiter must therefore never hold that region, i.e. no
+// transpile_cached / TranspileCache::transpile / exec::execute call may run
+// inside a parallel::parallel_for body. None does: the pool's bodies are
+// engine kernels and SABRE trials, which route but never transpile.
+//
 // The cache is thread-safe and bounded (FIFO eviction past `capacity`).
+// Explicitly constructed instances are independent of the global one.
 // The structural fingerprint itself is qbin::structural_digest: the QBIN
 // structural encoder streamed into a hash (one pass, no allocation,
 // byte-compatible with encoded payloads; see qbin/qbin.hpp).
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "transpiler/transpile.hpp"
@@ -54,19 +71,14 @@ class TranspileCache {
   TranspileCache() = default;
   explicit TranspileCache(std::size_t capacity) : capacity_(capacity) {}
 
-  /// The process-wide cache exec::execute routes through (when enabled()).
+  /// The process-wide cache exec::execute routes through.
   static TranspileCache& global();
-
-  /// Effective on/off of the *global* cache: the programmatic override if
-  /// set, else QTC_TRANSPILE_CACHE, else on.
-  static bool enabled();
-  /// Force the global cache on (1) / off (0); -1 restores env/default.
-  static void set_enabled(int enabled);
 
   /// Like transpiler::transpile, but served from the cache when possible.
   /// Identical output to a direct transpile with the same effective options:
   /// the mapper is deterministic and parameter-independent, so a replayed
-  /// routing is bitwise the one a cold run would compute.
+  /// routing is bitwise the one a cold run would compute. Blocks while
+  /// another thread compiles the same key cold (see "Single flight").
   TranspileResult transpile(const QuantumCircuit& circuit,
                             const arch::Backend& backend,
                             const TranspileOptions& options = {});
@@ -104,7 +116,13 @@ class TranspileCache {
                                  const TranspileOptions& opts,
                                  std::uint64_t key, std::uint64_t param_hash);
 
+  /// Frees a key's in-flight slot and wakes its waiters, also when the
+  /// cold compile throws (defined in transpile_cache.cpp).
+  class InFlightGuard;
+
   mutable std::mutex mu_;
+  std::condition_variable in_flight_done_;
+  std::unordered_set<std::uint64_t> in_flight_;  // keys compiling cold
   std::size_t capacity_ = 256;
   std::uint64_t next_id_ = 0;
   std::size_t entries_ = 0;
@@ -113,31 +131,10 @@ class TranspileCache {
   TranspileCacheStats stats_;
 };
 
-/// Structural batching key: the fingerprint the cache buckets on — circuit
-/// structure (gate kinds/qubits/clbits/conditions/registers, parameter
-/// values excluded), the backend's coupling map, and the resolved transpile
-/// options. Jobs with equal keys share a cache entry, so running them back
-/// to back costs one mapper run; the execution service groups queued jobs by
-/// this key. Purely advisory — a (vanishingly unlikely) hash collision only
-/// batches unrelated jobs together, it cannot change any job's result.
-std::uint64_t structural_cache_key(const QuantumCircuit& circuit,
-                                   const arch::Backend& backend,
-                                   const TranspileOptions& options = {});
-
-/// The same batching key computed from a circuit-structural fingerprint —
-/// as produced by qbin::structural_digest, either from a circuit or read
-/// straight off an encoded QBIN payload's structural prefix — instead of a
-/// circuit object. structural_cache_key(c, ...) ==
-/// structural_cache_key_digest(qbin::structural_digest(c), ...), which is
-/// what lets the execution service batch pre-encoded payload submissions
-/// with circuit submissions without decoding the payload first.
-std::uint64_t structural_cache_key_digest(std::uint64_t structural_digest,
-                                          const arch::Backend& backend,
-                                          const TranspileOptions& options = {});
-
-/// Transpile through the global cache when it is enabled, else directly.
-/// This is the call exec::execute / arch::Backend::run go through, so every
-/// hybrid loop re-executing a same-structure circuit pays the mapper once.
+/// TranspileCache::global().transpile(...): the call exec::execute /
+/// arch::Backend::run go through, so every hybrid loop re-executing a
+/// same-structure circuit pays the mapper once. transpiler::transpile stays
+/// the uncached cold compile.
 TranspileResult transpile_cached(const QuantumCircuit& circuit,
                                  const arch::Backend& backend,
                                  const TranspileOptions& options = {});

@@ -30,6 +30,7 @@
 #include "sim/simulator.hpp"
 #include "transpiler/direction.hpp"
 #include "transpiler/transpile.hpp"
+#include "transpiler/transpile_cache.hpp"
 
 namespace qtc {
 namespace {
@@ -368,7 +369,7 @@ TEST(Differential, TrajectoryMatchesDensityMatrixFusionOffAndOn) {
 TEST(Differential, ServicePathMatchesDirectExecuteAndArrayEngine) {
   // A sample of the standing cross-checks routed through
   // ExecutionService::submit: the async service (3 workers, concurrent
-  // submission, batching on) must return counts bitwise equal to a direct
+  // submission) must return counts bitwise equal to a direct
   // exec::execute with the same seed, and — executed noiselessly — those
   // counts must agree with the array engine's logical-circuit distribution,
   // so the whole transpile+dispatch path re-enters the engine-equivalence
@@ -418,10 +419,9 @@ TEST(Differential, ServicePathMatchesDirectExecuteAndArrayEngine) {
 TEST(Differential, QbinServicePathMatchesDirectExecute) {
   // The QBIN ingest fast path re-enters the same oracle: a circuit shipped
   // to the service as a pre-encoded binary payload must produce counts
-  // bitwise equal to a direct exec::execute of the original circuit — the
-  // decode is lossless and the payload-derived batching key changes only
-  // *which jobs run back to back*, never any job's result. The key is read
-  // off the payload's structural prefix.
+  // bitwise equal to a direct exec::execute of the original circuit: the
+  // decode is lossless, and a warm compile out of the transpile cache is
+  // bitwise the cold one.
   const noise::NoiseModel noiseless;
   const int shots = 4000;
   std::vector<std::uint64_t> seeds;
@@ -456,12 +456,11 @@ TEST(Differential, QbinServicePathMatchesDirectExecute) {
 }
 
 TEST(Differential, QbinAndCircuitSubmissionsBatchTogether) {
-  // Payload-derived and circuit-derived batching keys must be equal for the
-  // same structure (structural_cache_key_digest shares the key mixer with
-  // structural_cache_key), so a mixed stream of 1 circuit + N payload
-  // submissions of one ansatz structure — different angles — pays one
-  // mapper run and batches the rest, with every job's counts still bitwise
-  // equal to its own direct execution.
+  // A decoded payload keys the transpile cache exactly like the circuit it
+  // encodes, so a mixed stream of 1 circuit + 7 payload submissions of one
+  // ansatz structure — different angles — pays one mapper run and compiles
+  // the rest warm, with every job's counts still bitwise equal to its own
+  // direct execution.
   const noise::NoiseModel noiseless;
   auto ansatz = [](double a, double b) {
     QuantumCircuit qc(3, 3);
@@ -470,8 +469,10 @@ TEST(Differential, QbinAndCircuitSubmissionsBatchTogether) {
     return qc;
   };
   const arch::Backend backend = arch::qx4_backend();
+  transpiler::TranspileCache::global().clear();
+  const std::uint64_t mapper_runs_before = map::mapper_run_count();
   service::ServiceConfig config;
-  config.workers = 1;  // one worker: queued same-key jobs batch maximally
+  config.workers = 1;
   service::ExecutionService svc(config);
   std::vector<service::JobHandle> handles;
   std::vector<QuantumCircuit> circuits;
@@ -490,6 +491,9 @@ TEST(Differential, QbinAndCircuitSubmissionsBatchTogether) {
           svc.submit(qbin::encode(circuits.back()), backend, opts, "mixed"));
   }
   svc.drain();
+  EXPECT_EQ(map::mapper_run_count(), mapper_runs_before + 1)
+      << "same-structure circuit and payload submissions did not share a "
+         "compile";
   for (std::size_t i = 0; i < handles.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
     const service::JobResult r = handles[i].result();
@@ -497,9 +501,7 @@ TEST(Differential, QbinAndCircuitSubmissionsBatchTogether) {
     const auto direct = exec::execute(circuits[i], backend, opts_used[i]);
     EXPECT_EQ(r.counts.histogram, direct.counts.histogram);
   }
-  const service::ServiceStats stats = svc.stats();
-  EXPECT_GE(stats.batch_hits + stats.cache_hits, 1u)
-      << "same-structure circuit and payload submissions never shared work";
+  EXPECT_EQ(svc.stats().cache_hits, 7u);
 }
 
 // --- fusion on/off: fixed-seed counts must be bitwise identical --------------

@@ -19,8 +19,6 @@
 #include "exec/execute.hpp"
 #include "map/mapping.hpp"
 #include "noise/noise_model.hpp"
-#include "service/execution_service.hpp"
-#include "transpiler/transpile_cache.hpp"
 
 namespace qtc {
 namespace {
@@ -95,10 +93,9 @@ TEST(Knobs, OneParseRuleForEveryKnob) {
       {Knob::MapSeed, "123", 123},
       {Knob::MapSeed, "0x2A", 42},
       {Knob::MapSeed, "052", 42},
-      // 0/off/false/no in any case -> false, or 0 for integer knobs
-      // (QTC_TRANSPILE_CACHE=OFF and QTC_SERVICE_BATCH=OFF stayed on).
-      {Knob::TranspileCache, "OFF", 0},
-      {Knob::ServiceBatch, "OFF", 0},
+      // 0/off/false/no in any case -> false, or 0 for integer knobs.
+      {Knob::Fusion, "OFF", 0},
+      {Knob::Simd, "OFF", 0},
       {Knob::Simd, "False", 0},
       {Knob::Dispatch, "nO", 0},
       {Knob::DdGcThreshold, "off", 0},
@@ -109,7 +106,7 @@ TEST(Knobs, OneParseRuleForEveryKnob) {
       {Knob::MapFidelity, "1", 1},
       {Knob::MapFidelity, "yes", 1},
       {Knob::Fusion, "garbage", 1},
-      {Knob::TranspileCache, "00", 1},
+      {Knob::Simd, "00", 1},
   };
   for (const ParseCase& c : cases) {
     EXPECT_EQ(knobs::parse(c.knob, c.text), c.want)
@@ -128,16 +125,6 @@ TEST(Knobs, PublicGettersReadTheEnvironmentOnEveryCall) {
     const unsigned hw = std::thread::hardware_concurrency();
     EXPECT_EQ(parallel::num_threads(), hw > 0 ? static_cast<int>(hw) : 1);
   }
-  {
-    ScopedEnv env("QTC_TRANSPILE_CACHE", "OFF");
-    EXPECT_FALSE(transpiler::TranspileCache::enabled());
-  }
-  EXPECT_TRUE(transpiler::TranspileCache::enabled());
-  {
-    ScopedEnv env("QTC_SERVICE_BATCH", "Off");
-    EXPECT_FALSE(service::default_batching());
-  }
-  EXPECT_TRUE(service::default_batching());
   {
     ScopedEnv env("QTC_DD_GC_THRESHOLD", "-5");
     EXPECT_EQ(dd::Package(2).gc_threshold(), 131072u);
@@ -215,7 +202,7 @@ TEST(KnobContract, EveryFlagKnobKeepsFixedSeedCountsBitwise) {
     EXPECT_EQ(ideal_off, ideal_on);
     ++swept;
   }
-  EXPECT_GE(swept, 4);
+  EXPECT_GE(swept, 2);  // QTC_SIMD, QTC_FUSION
 }
 
 }  // namespace

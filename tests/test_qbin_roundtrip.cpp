@@ -248,9 +248,8 @@ TEST(QbinRoundtrip, StreamDecodeConvenienceMatchesMemory) {
 
 TEST(QbinRoundtrip, StructuralDigestMatchesPayloadDigest) {
   // The digest computed from the circuit (no allocation) and the digest
-  // read off the encoded payload (no decode) are the same value — the
-  // property that lets the service batch pre-encoded submissions with
-  // circuit submissions.
+  // read off the encoded payload (no decode) are the same value, so either
+  // side can fingerprint a structure.
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const QuantumCircuit qc = random_full_circuit(seed * 131 + 5);
     EXPECT_EQ(qbin::structural_digest(qc),

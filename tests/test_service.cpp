@@ -2,11 +2,11 @@
 // submit/poll/wait happy path (counts bitwise equal to a direct
 // exec::execute), cancel before and during a run, failure capture (a bad
 // request ends in Failed with the error message — never a crash or a dead
-// worker), the bounded result store's FIFO eviction, structural batching,
-// admission-control rejection, and exact stats accounting. The tests drive
-// the workers deterministically through the ServiceConfig::on_job_running
-// hook: a held gate parks a worker at a known point so queue states are
-// exact, not timing-dependent.
+// worker), the bounded result store's FIFO eviction, one shared compile for
+// concurrent same-structure jobs, admission-control rejection, and exact
+// stats accounting. The tests drive the workers deterministically through
+// the ServiceConfig::on_job_running hook: a held gate parks a worker at a
+// known point so queue states are exact, not timing-dependent.
 
 #include <gtest/gtest.h>
 
@@ -48,6 +48,11 @@ class RunGate {
   void await_arrival(std::uint64_t id) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return arrived_.count(id) > 0; });
+  }
+  /// Block until `n` jobs are parked inside the gate.
+  void await_arrivals(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return arrived_.size() >= n; });
   }
   void open() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -106,7 +111,6 @@ TEST(Service, SubmitPollWaitHappyPath) {
   EXPECT_GE(result.queue_ms, 0.0);
   EXPECT_GE(result.run_ms, 0.0);
   EXPECT_GE(result.completion_seq, 1u);
-  EXPECT_FALSE(result.batch_follower);
 
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.submitted, 1u);
@@ -124,7 +128,6 @@ TEST(Service, CancelBeforeRun) {
   RunGate gate;
   ServiceConfig config;
   config.workers = 1;
-  config.batching = 0;  // keep job B on the queue while A holds the worker
   config.on_job_running = [&](std::uint64_t id) { gate.arrive(id); };
   ExecutionService svc(config);
 
@@ -256,7 +259,6 @@ TEST(Service, AdmissionControlRejectsWithReason) {
   ServiceConfig config;
   config.workers = 1;
   config.queue_cap = 2;
-  config.batching = 0;
   config.on_job_running = [&](std::uint64_t id) { gate.arrive(id); };
   ExecutionService svc(config);
 
@@ -343,55 +345,40 @@ TEST(Service, MalformedQbinPayloadIsRejectedSynchronously) {
             stats.completed + stats.cancelled + stats.rejected + stats.failed);
 }
 
-TEST(Service, StructuralBatchingSharesOneMapperRun) {
+TEST(Service, ConcurrentSameStructureJobsShareOneMapperRun) {
   transpiler::TranspileCache::global().clear();
   const arch::Backend backend = arch::qx4_backend();
   RunGate gate;
   ServiceConfig config;
-  config.workers = 1;
-  config.batching = 1;
+  config.workers = 4;
   config.on_job_running = [&](std::uint64_t id) { gate.arrive(id); };
   ExecutionService svc(config);
 
-  // Park the worker on a structurally distinct job, then queue 5 jobs that
-  // share one ansatz structure (same gates, different angles) across two
-  // tenants plus one unrelated job.
-  JobHandle warm = svc.submit(small_circuit(3), backend, fast_options(), "w");
-  gate.await_arrival(warm.id());
+  // 8 jobs of one ansatz structure (same gates, different angles) over two
+  // tenants. Every worker parks on a job, then all four compile at once:
+  // the transpile cache's single flight lets one of them run the mapper.
+  const std::uint64_t mapper_runs_before = map::mapper_run_count();
   std::vector<JobHandle> vqe;
-  for (int i = 0; i < 5; ++i)
+  for (int i = 0; i < 8; ++i)
     vqe.push_back(svc.submit(small_circuit(0, 0.1 * (i + 1)), backend,
-                             fast_options(200 + i), i < 3 ? "a" : "b"));
-  JobHandle lone = svc.submit(small_circuit(1), backend, fast_options(), "a");
+                             fast_options(200 + i), i % 2 ? "b" : "a"));
+  gate.await_arrivals(4);
   gate.open();
   svc.drain();
+  EXPECT_EQ(map::mapper_run_count(), mapper_runs_before + 1)
+      << "same-structure jobs on concurrent workers each ran the mapper";
 
-  const std::uint64_t mapper_runs_before = map::mapper_run_count();
-  int followers = 0;
-  for (auto& h : vqe) {
-    const auto r = h.result();
-    ASSERT_EQ(r.state, JobState::Done);
-    followers += r.batch_follower ? 1 : 0;
-    // Bitwise equal to a direct execute with the same (circuit, seed) —
-    // warm replay or not.
-    // (Direct calls below also hit the cache; equality is the contract.)
-  }
-  EXPECT_EQ(followers, 4) << "one leader, four claimed followers";
-  // Followers were compiled warm: the direct re-checks run zero mappers.
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 8; ++i) {
+    const auto r = vqe[i].result();
+    ASSERT_EQ(r.state, JobState::Done) << r.error;
     const auto direct = exec::execute(small_circuit(0, 0.1 * (i + 1)), backend,
                                       fast_options(200 + i));
-    EXPECT_EQ(vqe[i].result().counts.histogram, direct.counts.histogram)
-        << "job " << i;
+    EXPECT_EQ(r.counts.histogram, direct.counts.histogram) << "job " << i;
   }
-  EXPECT_EQ(map::mapper_run_count(), mapper_runs_before)
-      << "all five structures were already cached by the service";
-  EXPECT_EQ(lone.result().state, JobState::Done);
-
   const ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batch_hits, 4u);
-  EXPECT_GE(stats.cache_hits, 4u);  // every follower compiled warm
+  EXPECT_EQ(stats.completed, 8u);
+  EXPECT_EQ(stats.cache_hits, 7u);  // every job but the compiling one
+  EXPECT_EQ(stats.batch_hits, 0u);  // retired counter
 }
 
 TEST(Service, UnknownIdThrows) {
@@ -408,7 +395,6 @@ TEST(Service, DestructorCancelsQueuedJobs) {
   RunGate gate;
   ServiceConfig config;
   config.workers = 1;
-  config.batching = 0;
   config.on_job_running = [&](std::uint64_t id) { gate.arrive(id); };
   std::uint64_t queued_id = 0;
   {

@@ -44,8 +44,8 @@ constexpr int kShots = 96;
 std::string tenant_name(int t) { return std::string("tenant-") + char('a' + t); }
 
 /// Job j of tenant t: one of two ansatz structures per tenant (so the
-/// batcher has real structural groups), parameters varying per iteration
-/// the way a hybrid loop's angles do, and a unique per-job seed.
+/// transpile cache has real structural groups), parameters varying per
+/// iteration the way a hybrid loop's angles do, and a unique per-job seed.
 QuantumCircuit job_circuit(int t, int j) {
   const int n = 3 + (t % 2);  // 3 or 4 qubits, fits qx4
   QuantumCircuit qc(n, n);
@@ -131,28 +131,24 @@ TEST(ServiceStress, CountsBitwiseEqualDirectExecuteAt1And4Workers) {
   }
 }
 
-TEST(ServiceStress, RepeatRunsAndBatchingOnOffAreBitwiseIdentical) {
-  // Same fleet twice against one service (results must repeat exactly), and
-  // once with batching disabled — the batcher may only change *when* a job
+TEST(ServiceStress, RepeatRunsAreBitwiseIdentical) {
+  // Same fleet twice against one service, the first time compiling cold:
+  // results must repeat exactly. The cache may only change *when* a job
   // compiles, never what it computes.
-  transpiler::TranspileCache::global().clear();
   const arch::Backend backend = arch::qx4_backend();
   const auto ref = reference_counts(backend);
-  for (const int batching : {1, 0}) {
-    SCOPED_TRACE(batching ? "batching on" : "batching off");
-    ServiceConfig config;
-    config.workers = 4;
-    config.batching = batching;
-    ExecutionService svc(config);
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      const auto results = hammer(svc, backend);
-      for (int t = 0; t < kTenants; ++t)
-        for (int j = 0; j < kJobsPerTenant; ++j) {
-          ASSERT_EQ(results[t][j].state, JobState::Done);
-          EXPECT_EQ(results[t][j].counts.histogram, ref[t][j].histogram)
-              << tenant_name(t) << " job " << j << " repeat " << repeat;
-        }
-    }
+  transpiler::TranspileCache::global().clear();
+  ServiceConfig config;
+  config.workers = 4;
+  ExecutionService svc(config);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    const auto results = hammer(svc, backend);
+    for (int t = 0; t < kTenants; ++t)
+      for (int j = 0; j < kJobsPerTenant; ++j) {
+        ASSERT_EQ(results[t][j].state, JobState::Done);
+        EXPECT_EQ(results[t][j].counts.histogram, ref[t][j].histogram)
+            << tenant_name(t) << " job " << j << " repeat " << repeat;
+      }
   }
 }
 
@@ -165,8 +161,7 @@ TEST(ServiceStress, RoundRobinServesTenantsFairly) {
   bool gate_open = false;
   bool warmup_running = false;
   ServiceConfig config;
-  config.workers = 1;
-  config.batching = 0;  // strict per-tenant round-robin, no cross-claiming
+  config.workers = 1;  // default config: round-robin is unconditional
   config.on_job_running = [&](std::uint64_t) {
     std::unique_lock<std::mutex> lock(gate_mu);
     warmup_running = true;
@@ -239,7 +234,6 @@ TEST(ServiceStress, AdmissionRejectsAreDeterministicUnderConcurrency) {
   ServiceConfig config;
   config.workers = 1;
   config.queue_cap = 4;
-  config.batching = 0;
   config.on_job_running = [&](std::uint64_t) {
     std::unique_lock<std::mutex> lock(gate_mu);
     parked = true;

@@ -444,7 +444,6 @@ TEST(TranspileCache, EvictionKeepsTheCacheBounded) {
 
 TEST(TranspileCache, ExecuteRoutesThroughTheGlobalCache) {
   TranspileCache::global().clear();
-  TranspileCache::set_enabled(1);
   exec::ExecuteOptions opts;
   opts.shots = 16;
   opts.transpile_options = fixed_options();
@@ -459,20 +458,7 @@ TEST(TranspileCache, ExecuteRoutesThroughTheGlobalCache) {
   EXPECT_TRUE(warm.transpile_cache_hit);
   EXPECT_EQ(warm.mapper_trials, 0);
 
-  TranspileCache::set_enabled(-1);
   TranspileCache::global().clear();
-}
-
-TEST(TranspileCache, DisabledCacheBypassesLookup) {
-  TranspileCache::global().clear();
-  TranspileCache::set_enabled(0);
-  const auto before = TranspileCache::global().stats().lookups;
-  const auto r =
-      transpile_cached(ansatz(0.2, 0.9), arch::qx4_backend(), fixed_options());
-  EXPECT_FALSE(r.cache_hit);
-  EXPECT_GT(r.mapper_trials, 0);
-  EXPECT_EQ(TranspileCache::global().stats().lookups, before);
-  TranspileCache::set_enabled(-1);
 }
 
 }  // namespace
