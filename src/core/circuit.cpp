@@ -219,12 +219,26 @@ QuantumCircuit QuantumCircuit::remapped(const std::vector<int>& layout,
   for (int v : layout)
     if (v < 0 || v >= new_num_qubits)
       throw std::out_of_range("remapped: layout target out of range");
-  QuantumCircuit out(new_num_qubits, num_clbits_);
+  QuantumCircuit out = empty_like(new_num_qubits);
   for (const auto& op : ops_) {
     Operation moved = op;
     for (auto& q : moved.qubits) q = layout[q];
     out.append(std::move(moved));
   }
+  return out;
+}
+
+QuantumCircuit QuantumCircuit::empty_like() const {
+  QuantumCircuit out = empty_like(0);
+  out.num_qubits_ = num_qubits_;
+  out.qregs_ = qregs_;
+  return out;
+}
+
+QuantumCircuit QuantumCircuit::empty_like(int num_qubits) const {
+  QuantumCircuit out(num_qubits);
+  out.num_clbits_ = num_clbits_;
+  out.cregs_ = cregs_;
   return out;
 }
 

@@ -182,6 +182,14 @@ class QuantumCircuit {
                           int new_num_qubits) const;
   /// Circuit containing only the unitary operations (drops measure/barrier).
   QuantumCircuit unitary_part() const;
+  /// Op-free circuit with this circuit's quantum and classical registers.
+  /// Every pass builds its output on it, so a condition keeps naming the
+  /// creg it was written on.
+  QuantumCircuit empty_like() const;
+  /// Op-free circuit over `num_qubits` qubits in one register "q", with
+  /// this circuit's classical registers: the output of a relabelling onto
+  /// other qubits (routing onto a device, remapped()).
+  QuantumCircuit empty_like(int num_qubits) const;
 
   /// ASCII circuit diagram (see drawer.hpp).
   std::string to_string() const;

@@ -44,7 +44,7 @@ struct RoutingContext {
   RoutingContext(const QuantumCircuit& logical,
                  const arch::CouplingMap& coupling, Layout start)
       : coupling_map(coupling),
-        out(coupling.num_qubits(), logical.num_clbits()),
+        out(logical.empty_like(coupling.num_qubits())),
         layout(std::move(start)) {}
 
   void emit_remapped(const Operation& op, int source_idx) {

@@ -55,7 +55,7 @@ double wrap_2pi(double angle) {
 }  // namespace
 
 QuantumCircuit CommutativeCancellation::run(QuantumCircuit circuit) const {
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   enum class Axis { None, Z, X };
   struct Run {
     Axis axis = Axis::None;

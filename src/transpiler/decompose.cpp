@@ -236,7 +236,7 @@ void append_rzsx(Operation op, QuantumCircuit& out) {
 }  // namespace
 
 QuantumCircuit DecomposeMultiQubit::run(QuantumCircuit circuit) const {
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   std::vector<Operation> pieces;
   for (auto& op : circuit.ops()) {
     const int cond_reg = op.cond_reg;
@@ -253,7 +253,7 @@ QuantumCircuit DecomposeMultiQubit::run(QuantumCircuit circuit) const {
 }
 
 QuantumCircuit RewriteToUBasis::run(QuantumCircuit circuit) const {
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   for (auto& op : circuit.ops()) {
     if (!op_is_unitary(op.kind) || op.kind == OpKind::CX ||
         op.kind == OpKind::U || op.kind == OpKind::P || op.kind == OpKind::U2 ||
@@ -274,7 +274,7 @@ QuantumCircuit RewriteToUBasis::run(QuantumCircuit circuit) const {
 }
 
 QuantumCircuit RewriteToEcrBasis::run(QuantumCircuit circuit) const {
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   for (auto& op : circuit.ops()) {
     if (op.kind == OpKind::CX) {
       expand_cx_to_ecr(std::move(op),
@@ -288,13 +288,13 @@ QuantumCircuit RewriteToEcrBasis::run(QuantumCircuit circuit) const {
 }
 
 QuantumCircuit RewriteToRzSxBasis::run(QuantumCircuit circuit) const {
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   for (auto& op : circuit.ops()) append_rzsx(std::move(op), out);
   return out;
 }
 
 QuantumCircuit RewriteToEcrRzSxBasis::run(QuantumCircuit circuit) const {
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   for (auto& op : circuit.ops()) {
     if (op.kind == OpKind::CX) {
       expand_cx_to_ecr(std::move(op), [&](Operation piece) {

@@ -6,7 +6,7 @@
 namespace qtc::transpiler {
 
 QuantumCircuit FixCxDirections::run(QuantumCircuit circuit) const {
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   for (auto& op : circuit.ops()) {
     if (op.kind != OpKind::CX) {
       if (op_is_unitary(op.kind) && op.qubits.size() >= 2 &&

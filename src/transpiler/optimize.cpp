@@ -156,13 +156,13 @@ QuantumCircuit GateCancellation::run(QuantumCircuit circuit) const {
   RoundState state;
   while (cancel_round(ops, state)) {
   }
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   out.append_all(std::move(ops));
   return out;
 }
 
 QuantumCircuit FuseSingleQubitGates::run(QuantumCircuit circuit) const {
-  QuantumCircuit out(circuit.num_qubits(), circuit.num_clbits());
+  QuantumCircuit out = circuit.empty_like();
   struct Run {
     std::vector<Operation> ops;
     Matrix product = Matrix::identity(2);

@@ -13,11 +13,6 @@ namespace qtc::transpiler {
 
 namespace detail {
 
-namespace {
-
-/// True when every multi-qubit op is already a CX (or barrier): nothing for
-/// DecomposeMultiQubit to rewrite. Kind-only check, so a circuit and its
-/// re-parameterized twin agree on it (the transpile cache relies on that).
 bool in_router_basis(const QuantumCircuit& circuit) {
   for (const auto& op : circuit.ops()) {
     if (op.kind == OpKind::Barrier) continue;
@@ -25,8 +20,6 @@ bool in_router_basis(const QuantumCircuit& circuit) {
   }
   return true;
 }
-
-}  // namespace
 
 QuantumCircuit lower_to_router_basis(const QuantumCircuit& circuit) {
   if (in_router_basis(circuit)) return circuit;
@@ -84,6 +77,21 @@ QuantumCircuit finish_pipeline(QuantumCircuit routed, bool had_swaps,
   return current;
 }
 
+TranspileResult finish_routing(map::MappingResult routing,
+                               const arch::Backend& backend,
+                               const TranspileOptions& options) {
+  TranspileResult result;
+  result.circuit =
+      finish_pipeline(std::move(routing.circuit), routing.swaps_inserted > 0,
+                      backend, options);
+  result.initial_layout = std::move(routing.initial);
+  result.final_layout = std::move(routing.final_layout);
+  result.swaps_inserted = routing.swaps_inserted;
+  result.mapper_trials = routing.trials_run;
+  result.best_trial = routing.best_trial;
+  return result;
+}
+
 TranspileOptions resolve_options(const TranspileOptions& options) {
   TranspileOptions resolved = options;
   if (resolved.trials <= 0) resolved.trials = map::default_map_trials();
@@ -103,22 +111,12 @@ TranspileResult transpile(const QuantumCircuit& circuit,
   const TranspileOptions opts = detail::resolve_options(options);
 
   // 1. Bring everything down to {1q, CX} so the router sees only pairs.
-  QuantumCircuit current = detail::lower_to_router_basis(circuit);
+  const QuantumCircuit lowered = detail::lower_to_router_basis(circuit);
 
-  // 2. Layout + routing.
-  map::MappingResult mapped =
-      detail::make_mapper(opts, backend)->run(current, backend.coupling_map());
-
-  // 3-4. Lower SWAPs, legalize directions, clean up.
-  TranspileResult result;
-  result.circuit = detail::finish_pipeline(
-      std::move(mapped.circuit), mapped.swaps_inserted > 0, backend, opts);
-  result.initial_layout = std::move(mapped.initial);
-  result.final_layout = std::move(mapped.final_layout);
-  result.swaps_inserted = mapped.swaps_inserted;
-  result.mapper_trials = mapped.trials_run;
-  result.best_trial = mapped.best_trial;
-  return result;
+  // 2. Layout + routing; 3-4. lower SWAPs, legalize directions, clean up.
+  return detail::finish_routing(
+      detail::make_mapper(opts, backend)->run(lowered, backend.coupling_map()),
+      backend, opts);
 }
 
 }  // namespace qtc::transpiler

@@ -56,9 +56,15 @@ TranspileResult transpile(const QuantumCircuit& circuit,
 
 namespace detail {
 
+/// True when every multi-qubit op is already a CX (or barrier), so
+/// lower_to_router_basis would return the input unchanged. Kind-only.
+bool in_router_basis(const QuantumCircuit& circuit);
+
 /// Stage 1 of transpile(): lower to the router's {1q, CX} basis. Returns the
-/// input unchanged (fast path) when no op needs rewriting — the predicate
-/// depends only on gate kinds, never on parameter values.
+/// input unchanged (fast path) when in_router_basis holds. The lowering may
+/// depend on parameter values (the controlled-unitary ABC network drops
+/// rotations below 1e-12), so transpile() is a pure function of this
+/// output, not of the input's structure.
 QuantumCircuit lower_to_router_basis(const QuantumCircuit& circuit);
 
 /// Stage 2 factory: the mapper selected by `options` (with the SABRE
@@ -73,6 +79,13 @@ std::unique_ptr<map::Mapper> make_mapper(const TranspileOptions& options,
 /// backend's native basis (ECR/RZ/SX backends always; U basis on request),
 /// and verify the result against the coupling map.
 QuantumCircuit finish_pipeline(QuantumCircuit routed, bool had_swaps,
+                               const arch::Backend& backend,
+                               const TranspileOptions& options);
+
+/// Stages 3-4 plus the bookkeeping: finish_pipeline on the routed circuit,
+/// with the mapper's layouts, SWAP count and trial counts copied into the
+/// result. transpile() and every TranspileCache path build results here.
+TranspileResult finish_routing(map::MappingResult routing,
                                const arch::Backend& backend,
                                const TranspileOptions& options);
 

@@ -1,6 +1,7 @@
 #include "transpiler/transpile_cache.hpp"
 
 #include <bit>
+#include <optional>
 #include <utility>
 
 #include "qbin/qbin.hpp"
@@ -130,8 +131,16 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
                                           const TranspileOptions& options) {
   const TranspileOptions opts = detail::resolve_options(options);
   const arch::CouplingMap& coupling = backend.coupling_map();
-  const std::uint64_t key = cache_key(circuit, backend, opts);
-  const std::uint64_t phash = param_hash(circuit);
+
+  // Lower once: the key, the lookup, a replay and a cold compile all read
+  // this circuit. An input already in the router basis is read in place.
+  QuantumCircuit decomposed;
+  const bool in_basis = detail::in_router_basis(circuit);
+  if (!in_basis) decomposed = detail::lower_to_router_basis(circuit);
+  const QuantumCircuit& lowered = in_basis ? circuit : decomposed;
+
+  const std::uint64_t key = cache_key(lowered, backend, opts);
+  const std::uint64_t phash = param_hash(lowered);
   const int basis = static_cast<int>(backend.basis());
   const std::uint64_t chash = calibration_fingerprint(backend, opts);
 
@@ -143,18 +152,16 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
       if (e.coupling_qubits == coupling.num_qubits() &&
           e.coupling_edges == coupling.edges() && e.basis == basis &&
           e.calib_hash == chash && options_equal(e.options, opts) &&
-          same_structure(e.input, circuit))
+          same_structure(e.lowered, lowered))
         return &e;
     return nullptr;
   };
 
-  // Lookup under the lock; copy the winning entry's template out so the
-  // replay (and any cold run) happens without holding it. The replay then
-  // moves its routed copy through finish_pipeline. A miss on a key that
-  // another thread is compiling waits for that compile, then looks again;
-  // a miss on a free key takes its in-flight slot.
-  bool have_template = false;
-  Entry tmpl;
+  // Lookup under the lock; copy the winning entry's routing out so the
+  // replay (and any cold run) happens without holding it. A miss on a key
+  // that another thread is compiling waits for that compile, then looks
+  // again; a miss on a free key takes its in-flight slot.
+  std::optional<map::MappingResult> routing;
   {
     std::unique_lock<std::mutex> lock(mu_);
     ++stats_.lookups;
@@ -163,7 +170,9 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
       in_flight_done_.wait(lock);
       e = find_locked();
     }
-    if (e && e->param_hash == phash && e->input == circuit) {
+    if (!e) {
+      in_flight_.insert(key);
+    } else if (e->param_hash == phash && e->lowered == lowered) {
       ++stats_.exact_hits;
       ++stats_.mapper_runs_saved;
       TranspileResult r = e->result;
@@ -171,94 +180,50 @@ TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,
       r.cache_exact = true;
       r.mapper_trials = 0;
       return r;
-    }
-    if (e) {
-      // Only what the replay reads: not the cold input or finished result.
-      tmpl.lowered = e->lowered;
-      tmpl.routed = e->routed;
-      tmpl.source_index = e->source_index;
-      tmpl.initial = e->initial;
-      tmpl.final_layout = e->final_layout;
-      tmpl.swaps = e->swaps;
-      tmpl.best_trial = e->best_trial;
-      have_template = true;
     } else {
-      in_flight_.insert(key);
+      ++stats_.structural_hits;
+      ++stats_.mapper_runs_saved;
+      routing = e->routing;
     }
   }
 
-  if (have_template) {
-    QuantumCircuit lowered = detail::lower_to_router_basis(circuit);
-    // Decomposition can be angle-dependent (near-zero rotations vanish in
-    // the controlled-unitary ABC network), so re-verify before replaying.
-    if (same_structure(lowered, tmpl.lowered)) {
-      QuantumCircuit routed = std::move(tmpl.routed);
-      auto& rops = routed.ops();
-      const auto& lops = lowered.ops();
-      for (std::size_t k = 0; k < rops.size(); ++k) {
-        const int src = tmpl.source_index[k];
-        if (src >= 0) rops[k].params = lops[src].params;
-      }
-      TranspileResult r;
-      r.circuit = detail::finish_pipeline(std::move(routed), tmpl.swaps > 0,
-                                          backend, opts);
-      r.initial_layout = std::move(tmpl.initial);
-      r.final_layout = std::move(tmpl.final_layout);
-      r.swaps_inserted = tmpl.swaps;
-      r.mapper_trials = 0;
-      r.best_trial = tmpl.best_trial;
-      r.cache_hit = true;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.structural_hits;
-        ++stats_.mapper_runs_saved;
-      }
-      return r;
+  if (routing) {
+    // Re-bind each routed op to the parameters of the lowered op it remaps.
+    auto& rops = routing->circuit.ops();
+    for (std::size_t k = 0; k < rops.size(); ++k) {
+      const int src = routing->source_index[k];
+      if (src >= 0) rops[k].params = lowered.ops()[src].params;
     }
-    // The lowering diverged from the template: compile cold. The key
-    // already has an entry, so no miss waits on this compile.
-    return cold_transpile(circuit, backend, opts, key, phash);
+    TranspileResult r =
+        detail::finish_routing(std::move(*routing), backend, opts);
+    r.mapper_trials = 0;
+    r.cache_hit = true;
+    return r;
   }
 
   const InFlightGuard slot(*this, key);
-  return cold_transpile(circuit, backend, opts, key, phash);
+  if (in_basis) decomposed = circuit;
+  return cold_transpile(std::move(decomposed), backend, opts, key, phash);
 }
 
-TranspileResult TranspileCache::cold_transpile(const QuantumCircuit& circuit,
+TranspileResult TranspileCache::cold_transpile(QuantumCircuit lowered,
                                                const arch::Backend& backend,
                                                const TranspileOptions& opts,
                                                std::uint64_t key,
                                                std::uint64_t phash) {
-  QuantumCircuit lowered = detail::lower_to_router_basis(circuit);
-  map::MappingResult mapped =
-      detail::make_mapper(opts, backend)->run(lowered, backend.coupling_map());
-
   Entry e;
+  e.routing =
+      detail::make_mapper(opts, backend)->run(lowered, backend.coupling_map());
   e.param_hash = phash;
-  e.input = circuit;
   e.lowered = std::move(lowered);
-  e.routed = mapped.circuit;  // keep the template before finishing consumes it
-  e.source_index = mapped.source_index;
-  e.initial = mapped.initial;
-  e.final_layout = mapped.final_layout;
-  e.swaps = mapped.swaps_inserted;
-  e.mapper_trials = mapped.trials_run;
-  e.best_trial = mapped.best_trial;
   e.coupling_qubits = backend.coupling_map().num_qubits();
   e.coupling_edges = backend.coupling_map().edges();
   e.options = opts;
   e.basis = static_cast<int>(backend.basis());
   e.calib_hash = calibration_fingerprint(backend, opts);
-
-  TranspileResult result;
-  result.circuit = detail::finish_pipeline(std::move(mapped.circuit),
-                                           e.swaps > 0, backend, opts);
-  result.initial_layout = std::move(mapped.initial);
-  result.final_layout = std::move(mapped.final_layout);
-  result.swaps_inserted = e.swaps;
-  result.mapper_trials = e.mapper_trials;
-  result.best_trial = e.best_trial;
-  e.result = result;
+  // The routing stays as the replay template; finishing consumes a copy.
+  e.result = detail::finish_routing(e.routing, backend, opts);
+  TranspileResult result = e.result;
 
   {
     std::lock_guard<std::mutex> lock(mu_);

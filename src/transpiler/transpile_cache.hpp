@@ -5,20 +5,25 @@
 // routing — is recomputed for an answer that cannot change (routing depends
 // only on which qubits each gate touches, never on parameter values).
 //
-// The cache keys on a structural fingerprint of the circuit (gate kinds,
-// qubits, clbits, conditions, register shapes — parameters excluded), the
-// coupling map, and the effective transpile options. Two warm paths:
-//   * exact hit      — the input is bitwise identical (params included) to a
-//                      cached cold run: the stored TranspileResult is
-//                      returned outright.
-//   * structural hit — same structure, different parameters: the cached
-//                      routing is replayed onto the new circuit (each routed
-//                      op re-binds the parameters of the source op it
-//                      remaps, via MappingResult::source_index) and only the
-//                      cheap post-mapping passes re-run. Zero mapper runs.
-// Gate decomposition can emit angle-dependent structures (controlled-unitary
-// ABC rotations vanish at zero angle), so a structural hit re-verifies the
-// lowered circuit's structure and falls back to a cold run on divergence.
+// The cache keys on what the router sees: the output of
+// detail::lower_to_router_basis. A cold transpile is a pure function of that
+// lowered circuit, the backend and the resolved options, so the key is the
+// lowered circuit's structural fingerprint (gate kinds, qubits, clbits,
+// conditions, register shapes — parameters excluded), the coupling map and
+// the options. Two warm paths, both exact by construction:
+//   * exact hit      — the lowered circuit is bitwise identical (params
+//                      included) to a cached cold run's: the stored
+//                      TranspileResult is returned outright.
+//   * structural hit — same lowered structure, different parameters: the
+//                      cached routing is replayed (each routed op re-binds
+//                      the parameters of the lowered op it remaps, via
+//                      MappingResult::source_index) and only the cheap
+//                      post-mapping passes re-run. Zero mapper runs.
+// The lowering runs before the lookup (an input already in the router basis
+// is read in place). Where it depends on a parameter value (the
+// controlled-unitary ABC network drops rotations below 1e-12, so crx(0)
+// lowers to fewer ops than crx(0.7)), the two lowerings are two keys, each
+// with its own entry and its own in-flight slot.
 //
 // Single flight: concurrent misses on one key share one cold compile. The
 // first miss takes the key's in-flight slot and compiles outside the lock;
@@ -26,9 +31,8 @@
 // repeats its lookup and replays the fresh entry warm. N concurrent
 // same-structure misses cost one mapper run and one cache entry, whoever
 // calls (exec::execute, the execution service, a hybrid loop). A waiter
-// that still finds no match (a hash collision, or the angle-dependent
-// decomposition fallback) compiles cold itself, so waiting never changes a
-// result.
+// that still finds no match (a hash collision, or the entry's eviction
+// before it woke) compiles cold itself, so waiting never changes a result.
 //
 // Deadlock invariant: the compiling thread's SabreMapper::run enters the
 // fork-join pool (core/parallel.hpp), whose run mutex admits one region at
@@ -58,7 +62,7 @@ struct TranspileCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t exact_hits = 0;       // params matched, result copied
   std::uint64_t structural_hits = 0;  // routing replayed, params re-bound
-  std::uint64_t misses = 0;           // cold transpile (includes fallbacks)
+  std::uint64_t misses = 0;           // cold transpile, one mapper run
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::uint64_t mapper_runs_saved = 0;
@@ -90,16 +94,9 @@ class TranspileCache {
  private:
   struct Entry {
     std::uint64_t id = 0;          // insertion order, for FIFO eviction
-    std::uint64_t param_hash = 0;  // params of the cold run's input
-    QuantumCircuit input;          // cold run input, params included
-    QuantumCircuit lowered;        // after lower_to_router_basis
-    QuantumCircuit routed;         // mapper output template
-    std::vector<int> source_index; // routed op -> lowered op (-1 = SWAP)
-    map::Layout initial;
-    map::Layout final_layout;
-    int swaps = 0;
-    int mapper_trials = 0;
-    int best_trial = 0;
+    std::uint64_t param_hash = 0;  // params of `lowered`
+    QuantumCircuit lowered;        // cold run's lower_to_router_basis output
+    map::MappingResult routing;    // mapper output: the replay template
     TranspileResult result;        // finished cold result, for exact hits
     // Key material re-checked on lookup (hashes alone could collide).
     int coupling_qubits = 0;
@@ -111,7 +108,7 @@ class TranspileCache {
     std::uint64_t calib_hash = 0;
   };
 
-  TranspileResult cold_transpile(const QuantumCircuit& circuit,
+  TranspileResult cold_transpile(QuantumCircuit lowered,
                                  const arch::Backend& backend,
                                  const TranspileOptions& opts,
                                  std::uint64_t key, std::uint64_t param_hash);

@@ -1,8 +1,9 @@
 // Single flight in the transpile cache (transpiler/transpile_cache.hpp):
-// concurrent misses on one structure cost one mapper run and one cache
-// entry, every caller still gets the result a cold compile computes, and a
-// compile that throws wakes every thread waiting on it. Labelled `parallel`
-// so the TSan preset race-checks the in-flight slot.
+// concurrent misses on one key cost one mapper run and one cache entry,
+// also when the key is a new lowering of a cached input structure; every
+// caller still gets the result a cold compile computes; and a compile that
+// throws wakes every thread waiting on it. Labelled `parallel` so the TSan
+// preset race-checks the in-flight slot.
 
 #include <gtest/gtest.h>
 
@@ -92,6 +93,49 @@ TEST(TranspileCache, ConcurrentMissesShareOneMapperRun) {
     EXPECT_EQ(r.swaps_inserted, direct.swaps_inserted);
   }
   EXPECT_EQ(cold, 1);
+}
+
+TEST(TranspileCache, ConcurrentCallsOnANewLoweringShareOneMapperRun) {
+  // crx(0) has the input structure of a cached crx(0.7) but lowers to fewer
+  // ops (the ABC network drops zero rotations), so it is its own key: the
+  // racing threads share that key's single cold compile.
+  constexpr int kThreads = 8;
+  const arch::Backend qx4 = arch::qx4_backend();
+  auto crx_circuit = [](double angle) {
+    QuantumCircuit qc(5);
+    qc.h(0);
+    qc.gate(OpKind::CRX, {0, 1}, {angle});
+    qc.cx(1, 2);
+    return qc;
+  };
+  TranspileOptions opt;
+  opt.trials = 2;
+  opt.seed = 42;
+  TranspileCache cache;
+  cache.transpile(crx_circuit(0.7), qx4, opt);
+  std::vector<std::optional<TranspileResult>> results(kThreads);
+  std::latch start(kThreads);
+
+  const std::uint64_t runs_before = map::mapper_run_count();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      results[t] = cache.transpile(crx_circuit(0.0), qx4, opt);
+    });
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(map::mapper_run_count(), runs_before + 1);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  const TranspileResult direct = transpile(crx_circuit(0.0), qx4, opt);
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ASSERT_TRUE(results[t].has_value());
+    EXPECT_EQ(results[t]->circuit, direct.circuit);  // op for op
+    EXPECT_EQ(results[t]->initial_layout, direct.initial_layout);
+    EXPECT_EQ(results[t]->final_layout, direct.final_layout);
+  }
 }
 
 TEST(TranspileCache, FailedCompileWakesEveryWaiter) {

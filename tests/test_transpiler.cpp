@@ -10,6 +10,8 @@
 #include "arch/backend.hpp"
 #include "core/rng.hpp"
 #include "exec/execute.hpp"
+#include "noise/noise_model.hpp"
+#include "qasm/parser.hpp"
 #include "sim/simulator.hpp"
 
 namespace qtc::transpiler {
@@ -420,6 +422,88 @@ TEST(TranspileCache, AngleDependentDecompositionFallsBackToCold) {
   EXPECT_EQ(fallback.circuit, direct.circuit);
 }
 
+/// h; crx(angle); cx; ry(phi) on QX4. CRX lowers through the ABC network,
+/// which drops rotations below 1e-12: crx(0) and crx(1e-13) lower to the
+/// same 2 CXs, crx(0.7) to 2 CXs and 4 rotations. `phi` never changes the
+/// lowering's structure.
+QuantumCircuit crx_then_ry(double angle, double phi) {
+  QuantumCircuit qc(5);
+  qc.h(0);
+  qc.gate(OpKind::CRX, {0, 1}, {angle});
+  qc.cx(1, 2).ry(phi, 2);
+  return qc;
+}
+
+/// `got` is op for op what an uncached transpile of `qc` computes.
+void expect_equals_cold(const TranspileResult& got, const QuantumCircuit& qc) {
+  const TranspileResult cold = transpile(qc, arch::qx4_backend(),
+                                         fixed_options());
+  EXPECT_EQ(got.circuit, cold.circuit);
+  EXPECT_EQ(got.initial_layout, cold.initial_layout);
+  EXPECT_EQ(got.final_layout, cold.final_layout);
+  EXPECT_EQ(got.swaps_inserted, cold.swaps_inserted);
+}
+
+TEST(TranspileCache, EachLoweringIsOneEntry) {
+  // The key is the lowered circuit: crx(0) after crx(0.7) is one more cold
+  // compile, and every later crx(0) is an exact hit on that entry.
+  TranspileCache cache;
+  std::vector<TranspileResult> results;
+  const std::uint64_t runs_before = map::mapper_run_count();
+  results.push_back(cache.transpile(crx_then_ry(0.7, 0.2), arch::qx4_backend(),
+                                    fixed_options()));
+  for (int i = 0; i < 5; ++i)
+    results.push_back(cache.transpile(crx_then_ry(0.0, 0.2),
+                                      arch::qx4_backend(), fixed_options()));
+  EXPECT_EQ(map::mapper_run_count(), runs_before + 2);
+  EXPECT_EQ(cache.size(), 2u);
+  const TranspileCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_GE(stats.exact_hits, 4u);
+  EXPECT_FALSE(results[1].cache_hit);
+  for (std::size_t i = 2; i < results.size(); ++i)
+    EXPECT_TRUE(results[i].cache_exact);
+
+  expect_equals_cold(results[0], crx_then_ry(0.7, 0.2));
+  for (std::size_t i = 1; i < results.size(); ++i)
+    expect_equals_cold(results[i], crx_then_ry(0.0, 0.2));
+}
+
+TEST(TranspileCache, TinyAngleReplaysTheZeroAngleEntry) {
+  // crx(1e-13) lowers exactly as crx(0) does, so with a new `phi` it is a
+  // structural hit on the zero-angle entry: no mapper run, no new entry.
+  TranspileCache cache;
+  cache.transpile(crx_then_ry(0.0, 0.2), arch::qx4_backend(), fixed_options());
+  const std::uint64_t runs_before = map::mapper_run_count();
+  const TranspileResult tiny = cache.transpile(
+      crx_then_ry(1e-13, -0.9), arch::qx4_backend(), fixed_options());
+  EXPECT_EQ(map::mapper_run_count(), runs_before);
+  EXPECT_TRUE(tiny.cache_hit);
+  EXPECT_FALSE(tiny.cache_exact);
+  EXPECT_EQ(cache.stats().structural_hits, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  expect_equals_cold(tiny, crx_then_ry(1e-13, -0.9));
+}
+
+TEST(TranspileCache, CzAndItsLoweringShareOneEntry) {
+  // CZ lowers to H; CX; H, so the two spellings are one routing problem.
+  QuantumCircuit cz(5);
+  cz.rx(0.4, 0).cz(0, 3).cx(3, 1);
+  QuantumCircuit hcxh(5);
+  hcxh.rx(0.4, 0).h(3).cx(0, 3).h(3).cx(3, 1);
+  TranspileCache cache;
+  const TranspileResult first =
+      cache.transpile(cz, arch::qx4_backend(), fixed_options());
+  const std::uint64_t runs_before = map::mapper_run_count();
+  const TranspileResult second =
+      cache.transpile(hcxh, arch::qx4_backend(), fixed_options());
+  EXPECT_EQ(map::mapper_run_count(), runs_before);
+  EXPECT_TRUE(second.cache_exact);
+  EXPECT_EQ(cache.size(), 1u);
+  expect_equals_cold(first, cz);
+  expect_equals_cold(second, hcxh);
+}
+
 TEST(TranspileCache, DifferentCouplingOrOptionsDoNotCollide) {
   TranspileCache cache;
   const QuantumCircuit qc = ansatz(0.1, 0.2);
@@ -460,6 +544,100 @@ TEST(TranspileCache, ExecuteRoutesThroughTheGlobalCache) {
 
   TranspileCache::global().clear();
 }
+
+// --- classical registers --------------------------------------------------------
+
+/// `if (b == 1)` on the second of two 1-bit cregs: every pass must keep the
+/// condition pointing at `b`. A pass that merged the cregs into one `c`
+/// rejects the condition as out of range.
+QuantumCircuit cond_on_second_creg(double theta) {
+  return qasm::parse(R"(OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+creg a[1];
+creg b[1];
+rz()" + std::to_string(theta) + R"() q[0];
+x q[0];
+measure q[0] -> b[0];
+if(b==1) x q[1];
+cx q[1],q[2];
+measure q[1] -> a[0];
+)");
+}
+
+/// `if (a == 2)` on a 2-bit creg while `b` already holds 1: the condition
+/// fires on `a` alone (result 111). Read over a merged 3-bit `c` it
+/// compares 6 with 2 and silently skips the X (result 110).
+QuantumCircuit cond_on_first_creg(double theta) {
+  return qasm::parse(R"(OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+creg a[2];
+creg b[1];
+rz()" + std::to_string(theta) + R"() q[2];
+x q[1];
+x q[2];
+measure q[2] -> b[0];
+measure q[0] -> a[0];
+measure q[1] -> a[1];
+if(a==2) x q[0];
+cx q[2],q[0];
+cx q[2],q[0];
+measure q[0] -> a[0];
+)");
+}
+
+/// The compiled circuit keeps the logical cregs; its qubits are physical,
+/// so they sit in one device-wide register `q`.
+void expect_registers_survive(const QuantumCircuit& logical,
+                              const QuantumCircuit& compiled) {
+  EXPECT_EQ(compiled.cregs(), logical.cregs());
+  EXPECT_EQ(compiled.qregs(), QuantumCircuit(compiled.num_qubits()).qregs());
+  EXPECT_EQ(qasm::parse(qasm::emit(compiled)), compiled);
+}
+
+class RegisterTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RegisterTest, TranspileKeepsClassicalRegistersAndCounts) {
+  const noise::NoiseModel noiseless;
+  TranspileOptions topt = fixed_options();
+  topt.optimization_level = GetParam();
+  topt.to_u_basis = GetParam() == 2;
+  const arch::Backend backends[] = {arch::qx4_backend(),
+                                    arch::heavy_hex_backend(3)};
+  for (const arch::Backend& backend : backends)
+    for (auto* make : {&cond_on_first_creg, &cond_on_second_creg}) {
+      SCOPED_TRACE(backend.coupling_map().num_qubits());
+      const QuantumCircuit logical = make(0.25);
+      const sim::Counts want =
+          sim::StatevectorSimulator(7).run(logical, 64).counts;
+      ASSERT_EQ(want.histogram.size(), 1u);
+
+      // Cold, then a replay of the cached routing at another angle.
+      const TranspileResult cold = transpile(logical, backend, topt);
+      expect_registers_survive(logical, cold.circuit);
+      TranspileCache cache;
+      cache.transpile(make(0.5), backend, topt);
+      const TranspileResult warm = cache.transpile(logical, backend, topt);
+      EXPECT_TRUE(warm.cache_hit);
+      EXPECT_EQ(warm.circuit, cold.circuit);
+
+      exec::ExecuteOptions eopt;
+      eopt.shots = 64;
+      eopt.seed = 7;
+      eopt.noise_model = &noiseless;
+      eopt.transpile_options = topt;
+      for (bool cached : {false, true}) {
+        eopt.use_transpile_cache = cached;
+        const exec::ExecuteResult run = exec::execute(logical, backend, eopt);
+        expect_registers_survive(logical, run.compiled);
+        EXPECT_EQ(run.counts.histogram, want.histogram);
+      }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(OptimizationLevels, RegisterTest,
+                         ::testing::Values(0, 1, 2));
 
 }  // namespace
 }  // namespace qtc::transpiler
