@@ -286,6 +286,19 @@ BENCHMARK(BM_FinishPipeline)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+/// Op construction alone: append 19,800 fresh RZs (about the op count of a
+/// QFT-20 lowered onto Eagle) to an empty 127-qubit circuit, each built from
+/// its qubit and angle the way the basis rewrites build theirs.
+void BM_AppendFreshOps(benchmark::State& state) {
+  constexpr int kOps = 19800;
+  for (auto _ : state) {
+    QuantumCircuit c(127);
+    for (int i = 0; i < kOps; ++i) c.rz(0.001 * i, i % 127);
+    benchmark::DoNotOptimize(c.size());
+  }
+}
+BENCHMARK(BM_AppendFreshOps)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 QTC_BENCH_MAIN(print_artifact)

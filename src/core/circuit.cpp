@@ -89,8 +89,8 @@ QuantumCircuit& QuantumCircuit::append_all(std::vector<Operation> ops) {
   return *this;
 }
 
-QuantumCircuit& QuantumCircuit::gate(OpKind kind, std::vector<Qubit> qubits,
-                                     std::vector<double> params) {
+QuantumCircuit& QuantumCircuit::gate(OpKind kind, QubitList qubits,
+                                     ParamList params) {
   Operation op;
   op.kind = kind;
   op.qubits = std::move(qubits);
@@ -117,9 +117,11 @@ QuantumCircuit& QuantumCircuit::reset(Qubit q) {
   return gate(OpKind::Reset, {q});
 }
 
-QuantumCircuit& QuantumCircuit::barrier(std::vector<Qubit> qubits) {
-  if (qubits.empty())
+QuantumCircuit& QuantumCircuit::barrier(QubitList qubits) {
+  if (qubits.empty()) {
+    qubits.reserve(num_qubits_);
     for (Qubit q = 0; q < num_qubits_; ++q) qubits.push_back(q);
+  }
   Operation op;
   op.kind = OpKind::Barrier;
   op.qubits = std::move(qubits);

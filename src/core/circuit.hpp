@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/gates.hpp"
+#include "core/small_vec.hpp"
 #include "core/types.hpp"
 
 namespace qtc {
@@ -23,16 +24,22 @@ struct Register {
   bool operator==(const Register&) const = default;
 };
 
+/// Operand lists of one operation. Three qubits and one clbit cover every
+/// gate kind and Measure in place; only a barrier over more than three
+/// qubits spills its qubit list to the heap.
+using QubitList = SmallVec<Qubit, 3>;
+using ClbitList = SmallVec<Clbit, 1>;
+
 /// One instruction in a circuit. For controlled kinds the control qubit(s)
 /// come first in `qubits`. `cond_reg >= 0` makes the operation classically
 /// conditioned: it executes only when the creg's value equals `cond_val`
 /// (OpenQASM `if (c == val) ...`).
 struct Operation {
   OpKind kind{};
-  std::vector<Qubit> qubits;
-  std::vector<Clbit> clbits;   // used by Measure
-  std::vector<double> params;  // rotation angles etc.
   int cond_reg = -1;
+  QubitList qubits;
+  ClbitList clbits;  // used by Measure
+  ParamList params;  // rotation angles etc.
   std::uint64_t cond_val = 0;
 
   bool conditioned() const { return cond_reg >= 0; }
@@ -70,8 +77,7 @@ class QuantumCircuit {
   /// any op is invalid nothing is appended. An empty circuit adopts the
   /// vector's storage instead of moving the ops one by one.
   QuantumCircuit& append_all(std::vector<Operation> ops);
-  QuantumCircuit& gate(OpKind kind, std::vector<Qubit> qubits,
-                       std::vector<double> params = {});
+  QuantumCircuit& gate(OpKind kind, QubitList qubits, ParamList params = {});
 
   QuantumCircuit& id(Qubit q) { return gate(OpKind::I, {q}); }
   QuantumCircuit& x(Qubit q) { return gate(OpKind::X, {q}); }
@@ -153,7 +159,7 @@ class QuantumCircuit {
   QuantumCircuit& measure_all();
   QuantumCircuit& reset(Qubit q);
   /// Barrier over the given qubits (all qubits if empty).
-  QuantumCircuit& barrier(std::vector<Qubit> qubits = {});
+  QuantumCircuit& barrier(QubitList qubits = {});
   /// Apply `if (creg == value)` to the most recently appended operation.
   QuantumCircuit& c_if(int creg_index, std::uint64_t value);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -17,7 +18,7 @@ std::string fmt_param(double v) {
   return buf;
 }
 
-std::string fmt_params(const std::vector<double>& params) {
+std::string fmt_params(std::span<const double> params) {
   if (params.empty()) return {};
   std::string s = "(";
   for (std::size_t i = 0; i < params.size(); ++i) {

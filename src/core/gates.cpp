@@ -94,7 +94,7 @@ Matrix controlled(const Matrix& u) {
   return m;
 }
 
-void expect_params(OpKind kind, const std::vector<double>& params) {
+void expect_params(OpKind kind, std::span<const double> params) {
   if (static_cast<int>(params.size()) != op_num_params(kind))
     throw std::invalid_argument(std::string("gate ") + op_name(kind) +
                                 ": wrong parameter count");
@@ -102,7 +102,7 @@ void expect_params(OpKind kind, const std::vector<double>& params) {
 
 }  // namespace
 
-Matrix op_matrix(OpKind kind, const std::vector<double>& params) {
+Matrix op_matrix(OpKind kind, std::span<const double> params) {
   expect_params(kind, params);
   const cplx i{0, 1};
   switch (kind) {
@@ -229,8 +229,8 @@ Matrix op_matrix(OpKind kind, const std::vector<double>& params) {
   throw std::logic_error("op_matrix: unknown kind");
 }
 
-std::pair<OpKind, std::vector<double>> op_inverse(
-    OpKind kind, const std::vector<double>& params) {
+std::pair<OpKind, ParamList> op_inverse(OpKind kind,
+                                        std::span<const double> params) {
   expect_params(kind, params);
   switch (kind) {
     case OpKind::I:

@@ -3,11 +3,13 @@
 // unitary matrices and inverses. This is the vocabulary shared by the IR,
 // the QASM frontend, the transpiler and every simulator backend.
 
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "core/matrix.hpp"
+#include "core/small_vec.hpp"
 #include "core/types.hpp"
 
 namespace qtc {
@@ -57,6 +59,9 @@ enum class OpKind {
   ECR,  // echoed cross-resonance, 1/sqrt(2) (IX - XY); modern 2q native gate
 };
 
+/// The real parameters of one gate: U and CU take the most, three.
+using ParamList = SmallVec<double, 3>;
+
 /// Human-readable lowercase mnemonic, matching OpenQASM / qelib1 names.
 const char* op_name(OpKind kind);
 /// Parse a mnemonic back to a kind (names as produced by op_name).
@@ -78,12 +83,20 @@ bool op_is_multi_qubit(OpKind kind);
 /// Convention: the gate-local basis index of qubit list [q0, q1, ...] puts q0
 /// in the LEAST significant bit (Qiskit little-endian). E.g. CX with control
 /// q0 and target q1 maps |q1 q0> : 01 -> 11, 11 -> 01.
-Matrix op_matrix(OpKind kind, const std::vector<double>& params = {});
+Matrix op_matrix(OpKind kind, std::span<const double> params = {});
+inline Matrix op_matrix(OpKind kind, std::initializer_list<double> params) {
+  return op_matrix(kind, std::span<const double>(params.begin(), params.size()));
+}
 
 /// The inverse gate as (kind, params). Every unitary gate in the set has an
 /// inverse within the set.
-std::pair<OpKind, std::vector<double>> op_inverse(
-    OpKind kind, const std::vector<double>& params = {});
+std::pair<OpKind, ParamList> op_inverse(OpKind kind,
+                                        std::span<const double> params = {});
+inline std::pair<OpKind, ParamList> op_inverse(
+    OpKind kind, std::initializer_list<double> params) {
+  return op_inverse(kind,
+                    std::span<const double>(params.begin(), params.size()));
+}
 
 /// Decompose an arbitrary single-qubit unitary into U(theta, phi, lambda)
 /// (ZYZ Euler angles) plus a global phase alpha such that

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "core/knobs.hpp"
+#include "sim/dispatch.hpp"
 
 namespace qtc::dd {
 
@@ -115,7 +116,7 @@ std::size_t Package::BinKeyHash::operator()(const BinKey& k) const {
 }
 
 Package::Package(int num_qubits, int compute_table_bits) : n_(num_qubits) {
-  if (num_qubits <= 0 || num_qubits > 62)
+  if (num_qubits <= 0 || num_qubits > sim::kMaxDecisionDiagramQubits)
     throw std::invalid_argument("dd::Package: unsupported qubit count");
   // Live-node count above which the collector runs (0 = never), unless a
   // caller overrides it with set_gc_threshold.
@@ -405,7 +406,7 @@ MEdge Package::make_identity() {
   return below;
 }
 
-MEdge Package::make_gate(const Matrix& gate, const std::vector<int>& qubits) {
+MEdge Package::make_gate(const Matrix& gate, std::span<const int> qubits) {
   const int k = static_cast<int>(qubits.size());
   if (gate.rows() != (std::size_t{1} << k) || gate.cols() != gate.rows())
     throw std::invalid_argument("make_gate: matrix/qubit-count mismatch");

@@ -43,7 +43,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -238,7 +240,10 @@ class Package {
   /// Operator DD of a 2^k x 2^k gate matrix acting on `qubits` (qubits[0] is
   /// the least significant gate-local bit, as in op_matrix), identity on all
   /// other qubits.
-  MEdge make_gate(const Matrix& gate, const std::vector<int>& qubits);
+  MEdge make_gate(const Matrix& gate, std::span<const int> qubits);
+  MEdge make_gate(const Matrix& gate, std::initializer_list<int> qubits) {
+    return make_gate(gate, std::span<const int>(qubits.begin(), qubits.size()));
+  }
 
   // --- algebra --------------------------------------------------------------
   VEdge add(const VEdge& a, const VEdge& b);

@@ -43,7 +43,7 @@ DensityMatrix::DensityMatrix(const std::vector<cplx>& sv) {
 }
 
 void DensityMatrix::left_multiply(const Matrix& m,
-                                  const std::vector<int>& qubits) {
+                                  std::span<const int> qubits) {
   // M acts on the row index: apply the statevector kernel to every column.
   // Columns are independent and write disjoint slots, so the column loop is
   // the parallel axis (the per-column kernel runs inline inside the region);
@@ -65,7 +65,7 @@ void DensityMatrix::left_multiply(const Matrix& m,
 }
 
 void DensityMatrix::right_multiply_dagger(const Matrix& m,
-                                          const std::vector<int>& qubits) {
+                                          std::span<const int> qubits) {
   // (rho M^dag)_{ij} = sum_k rho_{ik} conj(M_{jk}): apply conj(M) to rows,
   // one independent row block per task (see left_multiply).
   const Matrix mc = m.conjugate();
@@ -86,7 +86,7 @@ void DensityMatrix::right_multiply_dagger(const Matrix& m,
 }
 
 void DensityMatrix::apply_unitary(const Matrix& u,
-                                  const std::vector<int>& qubits) {
+                                  std::span<const int> qubits) {
   left_multiply(u, qubits);
   right_multiply_dagger(u, qubits);
 }
@@ -99,7 +99,7 @@ void DensityMatrix::apply(const Operation& op) {
 }
 
 void DensityMatrix::apply_channel(const KrausChannel& channel,
-                                  const std::vector<int>& qubits) {
+                                  std::span<const int> qubits) {
   if (static_cast<int>(qubits.size()) != channel.num_qubits)
     throw std::invalid_argument("apply_channel: qubit count mismatch");
   Matrix acc(rho_.rows(), rho_.cols());
@@ -163,7 +163,8 @@ double DensityMatrix::expectation_pauli(const std::string& paulis) const {
       default:
         throw std::invalid_argument("expectation_pauli: bad character");
     }
-    copy.left_multiply(op_matrix(kind), {q});
+    const int qubit[] = {q};
+    copy.left_multiply(op_matrix(kind), qubit);
   }
   return copy.rho_.trace().real();
 }

@@ -4,6 +4,7 @@
 // the reference against which the Monte-Carlo trajectory method is checked.
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -26,11 +27,16 @@ class DensityMatrix {
 
   /// rho -> U rho U^dagger with U a 2^k unitary on the listed qubits
   /// (qubits[0] = least significant gate-local bit).
-  void apply_unitary(const Matrix& u, const std::vector<int>& qubits);
+  void apply_unitary(const Matrix& u, std::span<const int> qubits);
   void apply(const Operation& op);
   /// rho -> sum_k K rho K^dagger.
   void apply_channel(const KrausChannel& channel,
-                     const std::vector<int>& qubits);
+                     std::span<const int> qubits);
+  void apply_channel(const KrausChannel& channel,
+                     std::initializer_list<int> qubits) {
+    apply_channel(channel,
+                  std::span<const int>(qubits.begin(), qubits.size()));
+  }
 
   /// Diagonal of rho: probability of each basis state.
   std::vector<double> probabilities() const;
@@ -48,8 +54,8 @@ class DensityMatrix {
  private:
   /// Apply an arbitrary (not necessarily unitary) matrix on the left:
   /// rho -> M rho, or on the right: rho -> rho M^dagger.
-  void left_multiply(const Matrix& m, const std::vector<int>& qubits);
-  void right_multiply_dagger(const Matrix& m, const std::vector<int>& qubits);
+  void left_multiply(const Matrix& m, std::span<const int> qubits);
+  void right_multiply_dagger(const Matrix& m, std::span<const int> qubits);
 
   int n_ = 0;
   Matrix rho_;

@@ -56,7 +56,7 @@ class NoiseModel {
 
  private:
   std::map<OpKind, SharedChannel> all_qubit_;
-  std::map<std::pair<OpKind, std::vector<int>>, SharedChannel> per_qubit_;
+  std::map<std::pair<OpKind, QubitList>, SharedChannel> per_qubit_;
   std::map<int, ReadoutError> readout_;
 };
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 
 #include "qbin/qbin.hpp"  // kMaxQubits / kMaxClbits (header-only)
@@ -534,8 +535,15 @@ class Parser {
       while (accept_sym(",")) args.push_back(parse_operand(false));
       expect_sym(";");
       reserve_ops(1, t);
-      std::vector<Qubit> qubits;
+      // A list longer than the circuit repeats a qubit: refuse it before it
+      // grows, so a repeated register cannot build a list past the qubit cap.
+      QubitList qubits;
       for (const auto& arg : args) {
+        const std::size_t n =
+            arg.index >= 0 ? 1 : static_cast<std::size_t>(
+                                     circ_.qregs()[arg.reg].size);
+        if (qubits.size() + n > static_cast<std::size_t>(circ_.num_qubits()))
+          throw ParseError("barrier: duplicate qubit operand", t.line, t.col);
         if (arg.index >= 0) {
           qubits.push_back(flat_qubit(arg, 0));
         } else {
@@ -569,27 +577,27 @@ class Parser {
     const GateDef* def = def_it == gate_defs_.end() ? nullptr : def_it->second;
     reserve_ops(saturating_mul(width, def ? def->expanded_ops : 1), t);
     for (int i = 0; i < width; ++i) {
-      std::vector<Qubit> qubits;
+      QubitList qubits;
       qubits.reserve(args.size());
       for (const auto& arg : args) qubits.push_back(flat_qubit(arg, i));
-      apply_gate(name, def, params, qubits, cond_reg, cond_val, t.line);
+      apply_gate(name, def, params, std::move(qubits), cond_reg, cond_val,
+                 t.line);
     }
   }
 
   /// Apply a gate: a native kind (def == nullptr) directly, a custom
   /// definition by macro expansion (recursively).
   void apply_gate(const std::string& name, const GateDef* def,
-                  const std::vector<double>& params,
-                  const std::vector<Qubit>& qubits, int cond_reg,
-                  std::uint64_t cond_val, int line) {
+                  std::span<const double> params, QubitList qubits,
+                  int cond_reg, std::uint64_t cond_val, int line) {
     if (def == nullptr) {
       const auto kind = op_from_name(name);
       if (!kind)
         throw ParseError("unknown gate '" + name + "'", line, 0);
       Operation op;
       op.kind = *kind;
-      op.qubits = qubits;
-      op.params = params;
+      op.qubits = std::move(qubits);
+      op.params.assign(params.begin(), params.end());
       op.cond_reg = cond_reg;
       op.cond_val = cond_val;
       circ_.append(std::move(op));
@@ -606,19 +614,19 @@ class Parser {
     for (std::size_t i = 0; i < params.size(); ++i)
       env[def->params[i]] = params[i];
     for (const GateStmt& stmt : def->body) {
-      std::vector<Qubit> sub_qubits;
+      QubitList sub_qubits;
       sub_qubits.reserve(stmt.qarg_indices.size());
       for (int idx : stmt.qarg_indices) sub_qubits.push_back(qubits[idx]);
       if (stmt.is_barrier) {
-        circ_.barrier(sub_qubits);
+        circ_.barrier(std::move(sub_qubits));
         continue;
       }
-      std::vector<double> sub_params;
+      ParamList sub_params;
       sub_params.reserve(stmt.params.size());
       for (const auto& e : stmt.params)
         sub_params.push_back(e->eval(env, stmt.line));
-      apply_gate(stmt.name, stmt.def, sub_params, sub_qubits, cond_reg,
-                 cond_val, stmt.line);
+      apply_gate(stmt.name, stmt.def, sub_params, std::move(sub_qubits),
+                 cond_reg, cond_val, stmt.line);
     }
   }
 

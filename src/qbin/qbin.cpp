@@ -5,6 +5,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -397,7 +398,7 @@ std::vector<RegisterSpec> read_register_table(Cursor& cur,
   return regs;
 }
 
-void check_no_duplicate_qubits(Cursor& cur, const std::vector<Qubit>& qubits) {
+void check_no_duplicate_qubits(Cursor& cur, std::span<const Qubit> qubits) {
   if (qubits.size() <= 1) return;
   if (qubits.size() <= 16) {
     for (std::size_t a = 0; a < qubits.size(); ++a)
@@ -406,7 +407,7 @@ void check_no_duplicate_qubits(Cursor& cur, const std::vector<Qubit>& qubits) {
           cur.fail(DecodeErrc::BadOperand, "duplicate qubit operand");
     return;
   }
-  std::vector<Qubit> sorted = qubits;
+  std::vector<Qubit> sorted(qubits.begin(), qubits.end());
   std::sort(sorted.begin(), sorted.end());
   if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
     cur.fail(DecodeErrc::BadOperand, "duplicate qubit operand");

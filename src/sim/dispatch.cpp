@@ -81,7 +81,7 @@ CircuitProfile profile_circuit(const QuantumCircuit& circuit) {
 DispatchDecision choose_engine(const CircuitProfile& p) {
   if (p.clifford_only && p.unitary_gates > 0)
     return {Engine::Stabilizer, "clifford-only gate set"};
-  if (p.dd_compatible()) {
+  if (p.dd_compatible() && p.num_qubits <= kMaxDecisionDiagramQubits) {
     if (p.num_qubits > 26)
       return {Engine::DecisionDiagram, "beyond array-engine capacity"};
     if (p.entangling_gates <= 2 * p.num_qubits && p.num_qubits >= 8)

@@ -37,6 +37,10 @@ bool dispatch_enabled();
 /// Force dispatch on (1) / off (0); -1 restores the env/default behavior.
 void set_dispatch_enabled(int enabled);
 
+/// Widest register dd::Package accepts: a basis index must fit the package's
+/// 64-bit words with room to spare.
+inline constexpr int kMaxDecisionDiagramQubits = 62;
+
 /// Structural facts the decision tree consumes, in one pass over the ops.
 struct CircuitProfile {
   int num_qubits = 0;
@@ -70,10 +74,12 @@ struct DispatchDecision {
 /// the statevector/trajectory engine before asking — neither the tableau
 /// nor the DD package can apply Kraus channels):
 ///   1. Clifford-only gate set -> Stabilizer (polynomial time, any size).
-///   2. DD-compatible and structured (entangling gates <= 2n, i.e. sparse
-///      enough that the DD plausibly stays compact) or too large for the
-///      array engine (n > 26) -> DecisionDiagram.
-///   3. Otherwise -> Statevector.
+///   2. DD-compatible, at most kMaxDecisionDiagramQubits wide, and either
+///      structured (entangling gates <= 2n, i.e. sparse enough that the DD
+///      plausibly stays compact) or too large for the array engine (n > 26)
+///      -> DecisionDiagram.
+///   3. Otherwise -> Statevector, which runs on the qubits the circuit
+///      touches, so a narrow job on a wide device fits it.
 DispatchDecision choose_engine(const CircuitProfile& profile);
 DispatchDecision choose_engine(const QuantumCircuit& circuit);
 

@@ -150,17 +150,18 @@ FusedOp make_single(const Operation& op) {
   if (op.qubits.size() == 1) {
     FusedOp f;
     f.kind = FusedOp::Kind::Gate1Q;
-    f.qubits = op.qubits;
+    f.qubits.assign(op.qubits.begin(), op.qubits.end());
     f.matrix = op_matrix(op.kind, op.params);
     return f;
   }
   if (op.kind == OpKind::CX) {
     FusedOp f;
     f.kind = FusedOp::Kind::GateCX;
-    f.qubits = op.qubits;
+    f.qubits.assign(op.qubits.begin(), op.qubits.end());
     return f;
   }
-  return classify_matrix(op_matrix(op.kind, op.params), op.qubits);
+  return classify_matrix(op_matrix(op.kind, op.params),
+                         std::vector<int>(op.qubits.begin(), op.qubits.end()));
 }
 
 void push_op(FusedOp f, int nsrc, FusedCircuit& plan) {

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,7 +25,7 @@ namespace {
 /// the chunk's scratch, so the per-gate hot loop reuses one allocation
 /// across all the chunk's shots.
 void sample_kraus(Statevector& sv, const std::vector<Matrix>& kraus,
-                  const std::vector<int>& qubits, Rng& rng,
+                  std::span<const int> qubits, Rng& rng,
                   Statevector& candidate) {
   const double r = rng.uniform();
   const std::size_t nops = kraus.size();
@@ -119,8 +120,9 @@ Counts replay_shots(const ShotPlan& plan, std::uint64_t seed, int shots) {
 /// compact qubit i is circuit qubit plan.positions[i]. Barrier passthroughs
 /// lose their (unused) operands instead of widening the state.
 void compact_plan(ShotPlan& plan, int circuit_qubits) {
-  const auto operands = [](FusedOp& f) -> std::vector<int>& {
-    return f.kind == FusedOp::Kind::Op ? f.op.qubits : f.qubits;
+  const auto operands = [](FusedOp& f) -> std::span<int> {
+    if (f.kind == FusedOp::Kind::Op) return f.op.qubits;
+    return f.qubits;
   };
   std::vector<bool> touched(static_cast<std::size_t>(circuit_qubits), false);
   for (FusedOp& f : plan.ops) {

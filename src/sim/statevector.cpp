@@ -139,7 +139,7 @@ constexpr std::size_t kStackDim = 64;
 
 }  // namespace
 
-void Statevector::apply_matrix(const Matrix& m, const std::vector<int>& qs) {
+void Statevector::apply_matrix(const Matrix& m, std::span<const int> qs) {
   const int k = static_cast<int>(qs.size());
   const std::size_t dim = std::size_t{1} << k;
   if (m.rows() != dim || m.cols() != dim)
@@ -211,7 +211,7 @@ void Statevector::apply_matrix(const Matrix& m, const std::vector<int>& qs) {
 }
 
 void Statevector::apply_diagonal(const std::vector<cplx>& diag,
-                                 const std::vector<int>& qs) {
+                                 std::span<const int> qs) {
   const int k = static_cast<int>(qs.size());
   const std::size_t dim = std::size_t{1} << k;
   if (diag.size() != dim)
@@ -246,7 +246,7 @@ void Statevector::apply_diagonal(const std::vector<cplx>& diag,
 
 void Statevector::apply_permutation(const std::vector<std::uint32_t>& row_of,
                                     const std::vector<cplx>& phases,
-                                    const std::vector<int>& qs) {
+                                    std::span<const int> qs) {
   const int k = static_cast<int>(qs.size());
   const std::size_t dim = std::size_t{1} << k;
   if (row_of.size() != dim || (!phases.empty() && phases.size() != dim))
@@ -281,15 +281,15 @@ void Statevector::apply_permutation(const std::vector<std::uint32_t>& row_of,
 }
 
 void Statevector::apply_controlled_matrix(const Matrix& u,
-                                          const std::vector<int>& controls,
-                                          const std::vector<int>& targets) {
-  std::vector<int> packed = controls;
+                                          std::span<const int> controls,
+                                          std::span<const int> targets) {
+  std::vector<int> packed(controls.begin(), controls.end());
   packed.insert(packed.end(), targets.begin(), targets.end());
   apply_controlled_matrix(u, packed, static_cast<int>(controls.size()));
 }
 
 void Statevector::apply_controlled_matrix(const Matrix& u,
-                                          const std::vector<int>& qs,
+                                          std::span<const int> qs,
                                           int num_controls) {
   const int k = static_cast<int>(qs.size());
   const int nt = k - num_controls;

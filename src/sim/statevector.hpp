@@ -9,6 +9,8 @@
 // unitaries (only the control-active slice of the state is touched).
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +55,10 @@ class Statevector {
   void apply(const Operation& op);
   /// Apply a 2^k x 2^k matrix to the listed qubits; qubits[0] is the least
   /// significant gate-local bit (same convention as op_matrix).
-  void apply_matrix(const Matrix& m, const std::vector<int>& qubits);
+  void apply_matrix(const Matrix& m, std::span<const int> qubits);
+  void apply_matrix(const Matrix& m, std::initializer_list<int> qubits) {
+    apply_matrix(m, std::span<const int>(qubits.begin(), qubits.size()));
+  }
   /// Run all unitary gates of a circuit (skips barriers; throws on measure).
   void apply_circuit(const QuantumCircuit& circuit);
 
@@ -66,22 +71,26 @@ class Statevector {
   /// Diagonal 2^k matrix over `qubits`: one multiply per amplitude in a
   /// single pass, no pair gather (RZ/phase/CZ runs fuse to this shape).
   void apply_diagonal(const std::vector<cplx>& diag,
-                      const std::vector<int>& qubits);
+                      std::span<const int> qubits);
+  void apply_diagonal(const std::vector<cplx>& diag,
+                      std::initializer_list<int> qubits) {
+    apply_diagonal(diag, std::span<const int>(qubits.begin(), qubits.size()));
+  }
   /// Generalized permutation over `qubits`: amplitude at gate-local index j
   /// moves to row_of[j], scaled by phases[j]. Pass an empty `phases` for a
   /// pure remap with no arithmetic (X/CX/SWAP runs). k <= 6.
   void apply_permutation(const std::vector<std::uint32_t>& row_of,
                          const std::vector<cplx>& phases,
-                         const std::vector<int>& qubits);
+                         std::span<const int> qubits);
   /// Apply `u` to `targets` on the subspace where every qubit in `controls`
   /// reads 1; the other amplitudes are untouched (so an m-control gate only
   /// sweeps 2^(n-m) amplitudes). u is 2^t x 2^t with t = targets.size() <= 6.
   void apply_controlled_matrix(const Matrix& u,
-                               const std::vector<int>& controls,
-                               const std::vector<int>& targets);
+                               std::span<const int> controls,
+                               std::span<const int> targets);
   /// Same kernel with the controls packed first in one list (the fused-plan
   /// layout): qubits[0..num_controls) control, the rest are targets.
-  void apply_controlled_matrix(const Matrix& u, const std::vector<int>& qubits,
+  void apply_controlled_matrix(const Matrix& u, std::span<const int> qubits,
                                int num_controls);
 
   /// Place this state inside a wider `register_width`-qubit register: qubit

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -9,8 +10,7 @@ namespace qtc::transpiler {
 
 namespace {
 
-Operation make(OpKind kind, std::vector<Qubit> qubits,
-               std::vector<double> params = {}) {
+Operation make(OpKind kind, QubitList qubits, ParamList params = {}) {
   Operation op;
   op.kind = kind;
   op.qubits = std::move(qubits);
@@ -310,7 +310,7 @@ QuantumCircuit RewriteToEcrRzSxBasis::run(QuantumCircuit circuit) const {
 
 namespace detail {
 
-EulerAngles euler_angles(OpKind kind, const std::vector<double>& params) {
+EulerAngles euler_angles(OpKind kind, std::span<const double> params) {
   constexpr std::size_t kKinds = static_cast<std::size_t>(OpKind::ECR) + 1;
   struct Table {
     std::array<EulerAngles, kKinds> angles{};

@@ -4,6 +4,8 @@
 // gate, or Fredkin gate) to the elementary operations U(theta, phi, lambda)
 // and CNOT".
 
+#include <span>
+
 #include "transpiler/pass_manager.hpp"
 
 namespace qtc::transpiler {
@@ -63,7 +65,7 @@ namespace detail {
 /// ZYZ Euler angles of a 1q gate, zyz_decompose(op_matrix(kind, params)).
 /// The parameter-free kinds read a table built once with exactly that call,
 /// so every value is bitwise what the decomposition returns.
-EulerAngles euler_angles(OpKind kind, const std::vector<double>& params);
+EulerAngles euler_angles(OpKind kind, std::span<const double> params);
 
 }  // namespace detail
 

@@ -213,8 +213,8 @@ bool is_inverse_of(const Operation& prev, const Operation& op) {
   const auto close = [](double inverse, double got) {
     return !(std::abs(inverse - got) > 1e-12);
   };
-  const std::vector<double>& p = prev.params;
-  const std::vector<double>& o = op.params;
+  const ParamList& p = prev.params;
+  const ParamList& o = op.params;
   switch (prev.kind) {
     case OpKind::I:
     case OpKind::X:

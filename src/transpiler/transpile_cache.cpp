@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "qbin/qbin.hpp"
@@ -62,7 +63,7 @@ std::uint64_t calibration_fingerprint(const arch::Backend& backend,
   if (opts.fidelity != 1) return 0;
   const auto& cal = backend.calibration();
   Hasher h;
-  auto mix_vec = [&h](const std::vector<double>& v) {
+  auto mix_vec = [&h](std::span<const double> v) {
     h.mix(v.size());
     for (double x : v) h.mix(std::bit_cast<std::uint64_t>(x));
   };

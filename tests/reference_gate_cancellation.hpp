@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "core/circuit.hpp"
@@ -34,8 +35,8 @@ inline bool same_operands(const Operation& a, const Operation& b) {
   return false;
 }
 
-inline bool params_close(const std::vector<double>& a,
-                         const std::vector<double>& b) {
+inline bool params_close(std::span<const double> a,
+                         std::span<const double> b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i)
     if (std::abs(a[i] - b[i]) > 1e-12) return false;

@@ -8,6 +8,7 @@
 // Kraus-sampling order, same shot-parallel loop.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,7 +27,7 @@ namespace qtc::testing {
 
 inline void reference_sample_kraus(sim::Statevector& sv,
                                    const noise::KrausChannel& channel,
-                                   const std::vector<int>& qubits, Rng& rng,
+                                   std::span<const int> qubits, Rng& rng,
                                    sim::Statevector& candidate) {
   const double r = rng.uniform();
   const std::size_t nops = channel.ops.size();

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -335,34 +337,77 @@ TEST(Differential, TranspiledCliffordCountsSurviveAcrossEngines) {
 
 // --- noisy engines join the vote: trajectories vs exact density matrix ------
 
-TEST(Differential, TrajectoryMatchesDensityMatrixFusionOffAndOn) {
+/// The seeds of the first eight random circuits of at most 4 qubits: the
+/// density matrix costs 4^n, so only these join the trajectory vote.
+std::vector<std::uint64_t> small_circuit_seeds() {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t seed = 1; seed <= kNumCircuits && seeds.size() < 8; ++seed)
+    if (random_measured_circuit(seed).num_qubits() <= 4) seeds.push_back(seed);
+  return seeds;
+}
+
+TEST(Differential, TrajectoryVoteHasAtLeastFourSmallCircuits) {
+  ASSERT_GE(small_circuit_seeds().size(), 4u)
+      << "generator stopped producing small circuits";
+}
+
+/// One circuit of the trajectory vote with fusion off or on; each case runs
+/// as its own CTest test, so `ctest -j` spreads the vote over the cores.
+struct TrajectoryCase {
+  std::uint64_t seed = 0;
+  bool fusion = false;
+};
+
+void PrintTo(const TrajectoryCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << (c.fusion ? ", fusion on" : ", fusion off");
+}
+
+std::vector<TrajectoryCase> trajectory_cases() {
+  std::vector<TrajectoryCase> cases;
+  for (std::uint64_t seed : small_circuit_seeds())
+    for (bool fusion : {false, true}) cases.push_back({seed, fusion});
+  return cases;
+}
+
+class TrajectoryVsDensityMatrix
+    : public ::testing::TestWithParam<TrajectoryCase> {};
+
+TEST_P(TrajectoryVsDensityMatrix, Agree) {
   // The Monte-Carlo trajectory engine and the exact density-matrix engine
   // share nothing but the channel definitions, so agreement on random noisy
   // circuits localizes bugs to one of them. No readout error here, so the
   // exact outcome distribution is the evolved rho's diagonal read through
   // the identity measure-all wiring. Runs with fusion off AND on: the
   // noise-aware trajectory plan must not let a fused kernel cross a channel.
+  const TrajectoryCase c = GetParam();
   const noise::NoiseModel model = noise::uniform_depolarizing(0.005, 0.02);
-  with_fusion_off_and_on([&] {
-    int tested = 0;
-    for (std::uint64_t seed = 1; seed <= kNumCircuits && tested < 8; ++seed) {
-      const QuantumCircuit qc = random_measured_circuit(seed);
-      if (qc.num_qubits() > 4) continue;  // DM cost is 4^n
-      ++tested;
-      noise::DensityMatrixSimulator dms;
-      const auto exact = dms.evolve(qc, model).probabilities();
-      noise::TrajectorySimulator traj(seed * 31 + 5);
-      const auto counts = traj.run(qc, model, 6000);
-      for (std::uint64_t i = 0; i < exact.size(); ++i) {
-        const std::string bits = sim::format_bits(i, qc.num_qubits());
-        EXPECT_NEAR(counts.probability(bits), exact[i], 0.03)
-            << "trajectory vs density matrix, seed " << seed << " bits "
-            << bits;
-      }
+  const QuantumCircuit qc = random_measured_circuit(c.seed);
+  for (int simd = 0; simd <= 1; ++simd) {
+    SCOPED_TRACE(simd ? "simd on" : "simd off");
+    sim::set_fusion_enabled(c.fusion ? 1 : 0);
+    sim::simd::set_simd_enabled(simd);
+    noise::DensityMatrixSimulator dms;
+    const auto exact = dms.evolve(qc, model).probabilities();
+    noise::TrajectorySimulator traj(c.seed * 31 + 5);
+    const auto counts = traj.run(qc, model, 6000);
+    for (std::uint64_t i = 0; i < exact.size(); ++i) {
+      const std::string bits = sim::format_bits(i, qc.num_qubits());
+      EXPECT_NEAR(counts.probability(bits), exact[i], 0.03)
+          << "trajectory vs density matrix, seed " << c.seed << " bits "
+          << bits;
     }
-    ASSERT_GE(tested, 4) << "generator stopped producing small circuits";
-  });
+  }
+  sim::set_fusion_enabled(-1);
+  sim::simd::set_simd_enabled(-1);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Differential, TrajectoryVsDensityMatrix,
+    ::testing::ValuesIn(trajectory_cases()),
+    [](const ::testing::TestParamInfo<TrajectoryCase>& info) {
+      return "seed" + std::to_string(info.param.seed) +
+             (info.param.fusion ? "_fusion_on" : "_fusion_off");
+    });
 
 // --- the execution service joins the vote ------------------------------------
 

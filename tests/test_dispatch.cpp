@@ -3,7 +3,8 @@
 // Dispatch: the automatic engine choice must route pure-Clifford circuits to
 // the stabilizer tableau (verified end-to-end through exec::execute with the
 // engine-use counters, including a 100-qubit GHZ no array engine could
-// hold), must never hand a mid-circuit-measurement circuit to the DD engine,
+// hold), must never hand a mid-circuit-measurement circuit or one wider than
+// dd::Package holds (a noiseless job compiled for Eagle) to the DD engine,
 // and must always yield to an explicit override.
 //
 // SIMD: the vector kernels are validated two ways — a NEAR(1e-12) sweep of
@@ -23,6 +24,7 @@
 #include "arch/coupling_map.hpp"
 #include "exec/execute.hpp"
 #include "noise/noise_model.hpp"
+#include "service/execution_service.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/fusion.hpp"
 #include "sim/result.hpp"
@@ -194,6 +196,53 @@ TEST(Dispatch, SparseCircuitRunsOnDDEndToEnd) {
       exec::execute(qc, backend, noiseless_options(noiseless));
   EXPECT_EQ(r.engine, Engine::DecisionDiagram);
   EXPECT_EQ(sim::engine_runs(Engine::DecisionDiagram), 1u);
+}
+
+/// A 10-qubit RY/T/CX chain, measured: not Clifford, measure-last and
+/// sparse, so every rule but the width cap makes it a DD job.
+QuantumCircuit ry_t_chain(int n) {
+  QuantumCircuit qc(n, n);
+  for (int q = 0; q < n; ++q) qc.ry(0.3 + 0.1 * q, q).t(q);
+  for (int q = 0; q + 1 < n; ++q) qc.cx(q, q + 1);
+  qc.measure_all();
+  return qc;
+}
+
+TEST(Dispatch, WiderThanDDCapIsNeverDD) {
+  sim::CircuitProfile p = sim::profile_circuit(ry_t_chain(10));
+  ASSERT_TRUE(p.dd_compatible());
+  ASSERT_FALSE(p.clifford_only);
+  p.num_qubits = sim::kMaxDecisionDiagramQubits;
+  EXPECT_EQ(sim::choose_engine(p).engine, Engine::DecisionDiagram);
+  p.num_qubits = sim::kMaxDecisionDiagramQubits + 1;
+  EXPECT_EQ(sim::choose_engine(p).engine, Engine::Statevector);
+}
+
+TEST(Dispatch, NoiselessJobOnEagleRunsLikeAnExplicitStatevectorRun) {
+  // Compiled onto the 127-qubit Eagle map the job is 127 qubits wide, past
+  // what dd::Package holds; Auto must still run it, with the counts of an
+  // explicit statevector run, directly and through the service.
+  const noise::NoiseModel noiseless;
+  const arch::Backend eagle = arch::heavy_hex_backend(7);
+  ASSERT_GT(eagle.num_qubits(), sim::kMaxDecisionDiagramQubits);
+  const QuantumCircuit qc = ry_t_chain(10);
+  exec::ExecuteOptions opts;
+  opts.noise_model = &noiseless;
+  opts.shots = 256;
+  exec::ExecuteOptions pinned = opts;
+  pinned.engine = Engine::Statevector;
+  const exec::ExecuteResult want = exec::execute(qc, eagle, pinned);
+
+  const exec::ExecuteResult got = exec::execute(qc, eagle, opts);
+  EXPECT_EQ(got.engine, Engine::Statevector);
+  EXPECT_EQ(got.counts.histogram, want.counts.histogram);
+
+  service::ExecutionService svc(service::ServiceConfig{});
+  service::JobHandle job = svc.submit(qc, eagle, opts, "wide");
+  ASSERT_TRUE(job.accepted());
+  const service::JobResult served = job.result();
+  EXPECT_EQ(served.state, service::JobState::Done) << served.error;
+  EXPECT_EQ(served.counts.histogram, want.counts.histogram);
 }
 
 TEST(Dispatch, ExplicitOverrideBeatsTheDispatcher) {

@@ -247,7 +247,8 @@ TEST(InversePredicate, AgreesWithOpInverseOnEveryKindPair) {
           EXPECT_FALSE(detail::is_inverse_of(prev, gate(b, {})));
           continue;
         }
-        std::vector<double> inv = op_inverse(a, pp).second;
+        const ParamList inverse = op_inverse(a, pp).second;
+        std::vector<double> inv(inverse.begin(), inverse.end());
         inv.resize(nb, 0.0);
         std::vector<std::vector<double>> op_sets;
         for (double offset : {0.0, 1e-12, -1e-12, above, -above, 1e-9}) {
